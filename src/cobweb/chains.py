@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .digits import decimal
 from .fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial, psi_falling
 from .poset import (
     CobwebCopy,
@@ -32,9 +33,12 @@ def oracle_max() -> int:
     if raw is None:
         return DEFAULT_ORACLE_MAX
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError as exc:
         raise ValueError(f"{ORACLE_MAX_ENV} must be an integer, got {raw!r}") from exc
+    if bound < 1:
+        raise ValueError(f"{ORACLE_MAX_ENV} must be >= 1, got {raw!r}")
+    return bound
 
 
 def max_chains_from_root(n: int) -> int:
@@ -89,11 +93,11 @@ class ChainCountReport:
     def to_json_dict(self) -> dict:
         # counts rendered as decimal strings so arbitrary precision survives JSON
         return {
-            "n": str(self.to_level),
-            "k": str(self.from_level),
-            "per_source": str(self.per_source),
-            "total": str(self.total),
-            "fibonomial": str(fibonomial_via_chains(self.to_level, self.from_level)),
+            "n": decimal(self.to_level),
+            "k": decimal(self.from_level),
+            "per_source": decimal(self.per_source),
+            "total": decimal(self.total),
+            "fibonomial": decimal(fibonomial_via_chains(self.to_level, self.from_level)),
         }
 
 

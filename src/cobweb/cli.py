@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import chains, crosscheck, fib_core, incidence, konvalina, paths_fences, poset
+from .digits import decimal
 
 ZETA_MAX_LEVELS = 12
 HASSE_MAX_LEVELS = 10
@@ -35,7 +36,7 @@ def _json_text(doc: dict) -> str:
 
 
 def _cmd_fib(args) -> int:
-    return _emit(f"{fib_core.fib(args.n)}\n", args.out)
+    return _emit(f"{decimal(fib_core.fib(args.n))}\n", args.out)
 
 
 _FIBONOMIAL_METHODS = {
@@ -50,13 +51,13 @@ _FIBONOMIAL_METHODS = {
 def _cmd_fibonomial(args) -> int:
     if args.method != "all":
         value = _FIBONOMIAL_METHODS[args.method](args.n, args.k)
-        return _emit(f"{value}\n", args.out)
+        return _emit(f"{decimal(value)}\n", args.out)
     values = {name: fn(args.n, args.k) for name, fn in _FIBONOMIAL_METHODS.items()}
-    rc = _emit("".join(f"{v}\n" for v in values.values()), args.out)
+    rc = _emit("".join(f"{decimal(v)}\n" for v in values.values()), args.out)
     if rc:
         return rc
     if len(set(values.values())) > 1:
-        detail = ", ".join(f"{name}={v}" for name, v in values.items())
+        detail = ", ".join(f"{name}={decimal(v)}" for name, v in values.items())
         print(f"error: methods disagree: {detail}", file=sys.stderr)
         return 1
     return 0
@@ -95,14 +96,15 @@ def _cmd_chains(args) -> int:
         fibo = chains.fibonomial_via_chains(args.n, args.k)
         text = (
             f"k={report.from_level} n={report.to_level} "
-            f"per_source={report.per_source} total={report.total} fibonomial={fibo}\n"
+            f"per_source={decimal(report.per_source)} total={decimal(report.total)} "
+            f"fibonomial={decimal(fibo)}\n"
         )
     return _emit(text, args.out)
 
 
 def _cmd_copies(args) -> int:
     root = poset.Vertex(args.level, args.pos)
-    return _emit(f"{poset.count_copies_rooted(root, args.m)}\n", args.out)
+    return _emit(f"{decimal(poset.count_copies_rooted(root, args.m))}\n", args.out)
 
 
 def _cmd_konvalina(args) -> int:
@@ -112,9 +114,9 @@ def _cmd_konvalina(args) -> int:
     if args.brute:
         check = konvalina.brute_sum(weights, args.k, args.kind)
         if check != value:
-            print(f"error: DP {value} != brute sum {check}", file=sys.stderr)
+            print(f"error: DP {decimal(value)} != brute sum {decimal(check)}", file=sys.stderr)
             return 1
-    return _emit(f"{value}\n", args.out)
+    return _emit(f"{decimal(value)}\n", args.out)
 
 
 def _cmd_gv(args) -> int:
@@ -123,8 +125,8 @@ def _cmd_gv(args) -> int:
     for subset, det in paths_fences.gv_terms(args.n, args.k):
         total += det
         if args.verbose:
-            lines.append(f"R={list(subset)} N={det}\n")
-    lines.append(f"{total}\n")
+            lines.append(f"R={list(subset)} N={decimal(det)}\n")
+    lines.append(f"{decimal(total)}\n")
     return _emit("".join(lines), args.out)
 
 
@@ -133,9 +135,9 @@ def _cmd_fence(args) -> int:
     if args.brute:
         check = paths_fences.fence_ideals_brute(args.n)
         if check != value:
-            print(f"error: sweep {value} != enumeration {check}", file=sys.stderr)
+            print(f"error: sweep {decimal(value)} != enumeration {decimal(check)}", file=sys.stderr)
             return 1
-    return _emit(f"{value}\n", args.out)
+    return _emit(f"{decimal(value)}\n", args.out)
 
 
 def _cmd_hasse(args) -> int:
@@ -149,7 +151,6 @@ def _cmd_crosscheck(args) -> int:
         max_n=args.max_n,
         oracle_max_n=min(args.oracle_max_n, args.max_n),
         jobs=args.jobs,
-        output=args.out,
     )
     if args.out is None:
         return crosscheck.run_crosschecks(cfg)

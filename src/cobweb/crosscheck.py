@@ -23,7 +23,6 @@ class CrosscheckConfig:
     max_n: int = 10
     oracle_max_n: int = 7
     jobs: int = 1
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_n < 1 or self.oracle_max_n < 1:
@@ -34,6 +33,7 @@ class CrosscheckConfig:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        chains.oracle_max()  # a bad COBWEB_ORACLE_MAX is a usage error, not a FAIL row
 
 
 class CheckFailure(Exception):
@@ -183,6 +183,7 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> None:
     for L in range(min(cfg.max_n, 10) + 1):
         z = incidence.zeta_from_order(L)
         m = incidence.mobius(z)
+        _expect(m == incidence._back_substitute(z), f"level and dense mu disagree at L={L}")
         ident = incidence.TriangularMatrix.identity(z.size)
         _expect(m * z == ident, f"mu * zeta != delta at L={L}")
         _expect(z * m == ident, f"zeta * mu != delta at L={L}")

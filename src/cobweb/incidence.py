@@ -1,12 +1,16 @@
 """Exact integer incidence-algebra matrices for truncated cobweb posets.
 
 The zeta matrix is materialized two independent ways (straight from the
-order relation, and from the closed staircase formula), the Moebius matrix
-comes from exact back-substitution, and powers of eta = zeta - delta count
-strict chains.
+order relation, and from the closed staircase formula).  The Moebius matrix
+of an ordinal sum of antichains, which every cobweb truncation is, comes from
+a recurrence on the level table; any other unitriangular matrix, and the
+oracle the level route is checked against, use exact back-substitution.
+Powers of eta = zeta - delta count strict chains.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .fib_core import fib
 from .poset import Vertex, leq, level_size, to_linear, truncate
@@ -18,12 +22,12 @@ class TriangularMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        for i in range(n):
-            if any(rows[i][j] for j in range(i)):
+        for i, row in enumerate(rows):
+            if any(row[:i]):
                 raise ValueError(f"nonzero entry below the diagonal in row {i}")
         object.__setattr__(self, "rows", rows)
 
@@ -159,6 +163,66 @@ def zeta_explicit(size: int) -> TriangularMatrix:
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
+    """Exact inverse of a unitriangular matrix.
+
+    When ``z`` is the zeta matrix of an ordinal sum of antichains (every
+    cobweb truncation is one), mu between distinct vertices depends only on
+    their blocks and comes from the level recurrence
+    mu(b, c) = -(1 + sum_{b<l<c} |B_l| mu(b, l)).  Any other matrix falls
+    back to back-substitution, which is also the oracle for the level route.
+    """
+    ends = _antichain_block_ends(z.rows)
+    if ends is None:
+        return _back_substitute(z)
+    return _ordinal_sum_mobius(ends)
+
+
+def _antichain_block_ends(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """End indices of the blocks if ``rows`` is the zeta matrix of an ordinal
+    sum of antichains, else None.
+
+    Row i of block [start, end) must read 0...0 1 0...0 1...1: the diagonal
+    one, zeros up to the block end, ones after it.  Whole rows are compared.
+    """
+    n = len(rows)
+    zeros = (0,) * n
+    ends = []
+    start = 0
+    while start < n:
+        try:
+            end = rows[start].index(1, start + 1)
+        except ValueError:
+            end = n
+        ones = (1,) * (n - end)
+        for i in range(start, end):
+            if rows[i] != zeros[:i] + (1,) + zeros[: end - i - 1] + ones:
+                return None
+        ends.append(end)
+        start = end
+    return ends
+
+
+def _ordinal_sum_mobius(ends: list[int]) -> TriangularMatrix:
+    """Moebius matrix of the ordinal sum of antichains ending at ``ends``."""
+    n = ends[-1] if ends else 0
+    starts = [0, *ends[:-1]]
+    sizes = [end - start for start, end in zip(starts, ends)]
+    zeros = (0,) * n
+    rows = []
+    for b, (start, end) in enumerate(zip(starts, ends)):
+        # mu(b, c) for every later block c, each repeated |B_c| times
+        tail: list[int] = []
+        partial = 1  # 1 + sum over the blocks l passed so far of |B_l| mu(b, l)
+        for size in sizes[b + 1 :]:
+            mu = -partial
+            tail += [mu] * size
+            partial += size * mu
+        shared = tuple(tail)
+        rows.extend(zeros[:i] + (1,) + zeros[: end - i - 1] + shared for i in range(start, end))
+    return TriangularMatrix(rows)
+
+
+def _back_substitute(z: TriangularMatrix) -> TriangularMatrix:
     """Exact inverse of a unitriangular matrix by back-substitution."""
     if not z.is_unitriangular():
         raise ValueError("mobius needs a unitriangular matrix")
@@ -212,15 +276,8 @@ def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
 
 
 def _rect_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for t, c in enumerate(row):
-            if c:
-                brow = b[t]
-                acc = [x + c * y for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list[list[int]]:
@@ -236,13 +293,18 @@ def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list
             f"need 0 <= from_level <= to_level <= max_level, got {from_level}, {to_level}, {max_level}"
         )
     t = truncate(max_level)
-    offset = {s: to_linear(Vertex(s, 1)) for s in range(max_level + 1)}
+    offset = [to_linear(Vertex(s, 1)) for s in range(max_level + 1)]
+    level_of = [v.level for v in t.vertices]
+    steps = {
+        s: [[0] * level_size(s + 1) for _ in range(level_size(s))]
+        for s in range(from_level, to_level)
+    }
+    for i, j in t.edges:  # one pass, each edge counted in its source level's step
+        s = level_of[i]
+        if from_level <= s < to_level:
+            steps[s][i - offset[s]][j - offset[s + 1]] += 1
     size0 = level_size(from_level)
     result = [[1 if i == j else 0 for j in range(size0)] for i in range(size0)]
     for s in range(from_level, to_level):
-        step = [[0] * level_size(s + 1) for _ in range(level_size(s))]
-        for i, j in t.edges:
-            if offset[s] <= i < offset[s] + level_size(s):
-                step[i - offset[s]][j - offset[s + 1]] += 1
-        result = _rect_mul(result, step)
+        result = _rect_mul(result, steps[s])
     return result

@@ -71,6 +71,8 @@ def path_determinant(r: Sequence[int], n: int) -> int:
 
 def gv_terms(total: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (subset, determinant) pairs whose sum is the fibonomial (total, k)."""
+    if total < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got n={total}, k={k}")
     if k > total:
         raise ValueError(f"need k <= {total}, got {k}")
     if total > GV_MAX_N:

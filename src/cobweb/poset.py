@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator
 
 from .fib_core import fib
@@ -95,7 +95,12 @@ class CobwebTruncation:
 
 
 def truncate(max_level: int) -> CobwebTruncation:
-    """Build the truncation at ``max_level``; vertex count is F_{max_level+2}."""
+    """Build the truncation at ``max_level``; vertex count is F_{max_level+2}.
+
+    Level s occupies the linear indices offset[s] <= i < offset[s+1], the
+    running sums of the level sizes, so the cover edges between levels s
+    and s+1 are every pair from those two ranges.
+    """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     vertices: list[Vertex] = []
@@ -104,13 +109,16 @@ def truncate(max_level: int) -> CobwebTruncation:
     # cumulative level sizes must telescope to a Fibonacci number
     if len(vertices) != fib(max_level + 2):
         raise AssertionError("level-size bookkeeping broke; this is a bug")
-    edges: list[tuple[int, int]] = []
-    for s in range(max_level):
-        for j in range(1, level_size(s) + 1):
-            u = to_linear(Vertex(s, j))
-            for q in range(1, level_size(s + 1) + 1):
-                edges.append((u, to_linear(Vertex(s + 1, q))))
-    return CobwebTruncation(max_level, tuple(vertices), tuple(edges))
+    offset = [0]  # offset[s]: linear index of the first vertex of level s
+    for s in range(max_level + 1):
+        offset.append(offset[-1] + level_size(s))
+    edges = tuple(
+        chain.from_iterable(
+            product(range(offset[s], offset[s + 1]), range(offset[s + 1], offset[s + 2]))
+            for s in range(max_level)
+        )
+    )
+    return CobwebTruncation(max_level, tuple(vertices), edges)
 
 
 def to_dot(t: CobwebTruncation) -> str:

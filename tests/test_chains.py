@@ -154,6 +154,13 @@ def test_oracle_bound(monkeypatch):
         brute_force_max_chains(0, 3, ROOT)
 
 
+def test_oracle_bound_must_be_positive(monkeypatch):
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("COBWEB_ORACLE_MAX", raw)
+        with pytest.raises(ValueError, match=">= 1"):
+            oracle_max()
+
+
 def test_dfs_source_level_mismatch():
     with pytest.raises(ValueError):
         brute_force_max_chains(2, 4, Vertex(3, 1))

@@ -1,9 +1,18 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from cobweb import crosscheck
+from cobweb.chains import fibonomial_via_chains
 from cobweb.cli import main
+from cobweb.digits import decimal
+from cobweb.fib_core import fib, fibonomial_def
 
 
 def run_cli(*args, env=None):
@@ -183,3 +192,84 @@ def test_oracle_env_propagates_to_subprocess(tmp_path):
     proc = run_cli("crosscheck", "--max-n", "4", env=env)
     assert proc.returncode == 1  # DFS-backed checks now exceed the oracle budget
     assert "FAIL" in proc.stdout
+
+
+def test_bad_oracle_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COBWEB_ORACLE_MAX", "0")
+    assert main(["crosscheck", "--max-n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    assert "COBWEB_ORACLE_MAX must be >= 1" in captured.err
+
+
+def test_gv_negative_k_is_a_cobweb_usage_error(capsys):
+    assert main(["gv", "3", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need n, k >= 0, got n=3, k=-1\n"
+
+
+def test_crosscheck_compares_level_and_dense_mobius(capsys, monkeypatch):
+    # a dense route that disagrees must turn mobius-inverse red even though
+    # the level route still inverts zeta exactly
+    monkeypatch.setattr(
+        crosscheck.incidence, "_back_substitute", lambda z: crosscheck.incidence.eta(z)
+    )
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  mobius-inverse: level and dense mu disagree at L=0" in out
+    assert out.count("FAIL") == 1
+
+
+# SHA-256 of `cobweb <cmd> --levels L --format <fmt>` for L = 0..8 in order,
+# recorded before the level-block Moebius route replaced back-substitution
+MATRIX_OUTPUT_SHA256 = {
+    ("zeta", "dense"): "d45a658ad9442d479d26d3aee8ebc34872caeab07a72c96cd5b19c3e6424c05c",
+    ("zeta", "csv"): "fe818aa867f4f3cd923e403c24edba64fbae786275204332b8170c1404fbd9d6",
+    ("zeta", "json"): "0f546b0d8235b460075dd5a9ae3dacc165390076ef25e9db04ba040f8e8f5dcd",
+    ("mobius", "dense"): "d77bf56cdf778675e45e51ded0e9230f9efffde7e65c8bac9d1d5e9beccb29cb",
+    ("mobius", "csv"): "e557db89ea61b4f84e27cd8bb0414c10828eff1177d9fbaf5ce2c174d1e3f4c6",
+    ("mobius", "json"): "6e9533ef9bf661b9b23c5cf0dea628c88b5a05acc294d81d01a4247a69d06e66",
+}
+
+
+@pytest.mark.parametrize("cmd, fmt", sorted(MATRIX_OUTPUT_SHA256))
+def test_matrix_output_bytes_unchanged(capsys, cmd, fmt):
+    h = hashlib.sha256()
+    for L in range(9):
+        assert main([cmd, "--levels", str(L), "--format", fmt]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == MATRIX_OUTPUT_SHA256[cmd, fmt]
+
+
+def unlimited_str(value):
+    # reference rendering with the interpreter's digit limit lifted, then restored
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(st.integers(-(10**1500), 10**1500) | st.integers(0, 3).map(lambda e: 10 ** (600 * e)))
+def test_decimal_matches_str(value):
+    assert decimal(value) == unlimited_str(value)
+
+
+def test_results_above_the_digit_limit_print_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["fib", "30000"]) == 0
+    assert capsys.readouterr().out == unlimited_str(fib(30000)) + "\n"
+    assert main(["fibonomial", "300", "150"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 4301 and out == unlimited_str(fibonomial_def(300, 150)) + "\n"
+    assert main(["chains", "3", "400", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fibonomial"] == unlimited_str(fibonomial_via_chains(400, 3))
+    assert sys.get_int_max_str_digits() == limit  # library callers keep their limit
+
+
+def test_big_fib_via_subprocess():
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    proc = run_cli("fib", "30000", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == unlimited_str(fib(30000)) + "\n"

@@ -1,10 +1,14 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
+    _antichain_block_ends,
+    _back_substitute,
     chain_count,
     eta,
     maximal_chain_matrix,
@@ -131,6 +135,74 @@ def test_mobius_rejects_non_unitriangular():
     z = zeta_from_order(3)
     with pytest.raises(ValueError):
         mobius(eta(z))
+
+
+def ordinal_sum_zeta(sizes):
+    # zeta of antichains of the given sizes stacked in order: i <= j iff
+    # i == j or i's block lies strictly below j's
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    return [[1 if i == j or block[i] < block[j] else 0 for j in range(n)] for i in range(n)]
+
+
+block_sizes = st.lists(
+    st.one_of(st.just(1), st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 8])), max_size=7
+)
+
+
+def assert_exact_inverse(z, m):
+    ident = TriangularMatrix.identity(z.size)
+    assert m * z == ident
+    assert z * m == ident
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sizes)
+def test_mobius_level_route_matches_back_substitution(sizes):
+    z = TriangularMatrix(ordinal_sum_zeta(sizes))
+    ends = _antichain_block_ends(z.rows)
+    assert ends == [sum(sizes[: b + 1]) for b in range(len(sizes))]
+    m = mobius(z)
+    assert m == _back_substitute(z)
+    assert_exact_inverse(z, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sizes.filter(lambda sizes: len(sizes) >= 2), st.data())
+def test_mobius_falls_back_when_one_relation_is_missing(sizes, data):
+    rows = ordinal_sum_zeta(sizes)
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    b = data.draw(st.integers(0, len(sizes) - 2))
+    c = data.draw(st.integers(b + 1, len(sizes) - 1))
+    i = data.draw(st.integers(starts[b], starts[b] + sizes[b] - 1))
+    j = data.draw(st.integers(starts[c], starts[c] + sizes[c] - 1))
+    # two adjacent singletons with their relation dropped merge into one
+    # antichain of size two, which is an ordinal sum again
+    assume(not (c == b + 1 and sizes[b] == sizes[c] == 1))
+    rows[i][j] = 0
+    z = TriangularMatrix(rows)
+    assert _antichain_block_ends(z.rows) is None
+    m = mobius(z)
+    assert m == _back_substitute(z)
+    assert_exact_inverse(z, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    .map(lambda upper: (n, upper))
+))
+def test_mobius_inverts_general_unitriangular_matrices(case):
+    n, upper = case
+    assume(any(x not in (0, 1) for x in upper))  # not a zeta matrix at all
+    entries = iter(upper)
+    z = TriangularMatrix(
+        [[1 if i == j else next(entries) if j > i else 0 for j in range(n)] for i in range(n)]
+    )
+    assert _antichain_block_ends(z.rows) is None
+    m = mobius(z)
+    assert m == _back_substitute(z)
+    assert_exact_inverse(z, m)
 
 
 def test_chain_count_examples():

@@ -100,6 +100,12 @@ def test_gv_bounds():
         fibonomial_via_gv(4, 5)
 
 
+def test_gv_rejects_negative_arguments():
+    for total, k in ((3, -1), (-1, 0), (-2, -3)):
+        with pytest.raises(ValueError, match="n, k >= 0"):
+            list(gv_terms(total, k))
+
+
 def test_gv_k1_is_the_pascal_diagonal_sum():
     for total in range(1, 21):
         n = total - 1

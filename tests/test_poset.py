@@ -126,6 +126,18 @@ def test_truncate_edges_complete_between_levels():
         assert t.vertices[j].level == t.vertices[i].level + 1
 
 
+def test_truncate_edges_match_per_vertex_construction():
+    # the edge list as built vertex by vertex through to_linear
+    for L in range(13):
+        want = [
+            (to_linear(Vertex(s, j)), to_linear(Vertex(s + 1, q)))
+            for s in range(L)
+            for j in range(1, level_size(s) + 1)
+            for q in range(1, level_size(s + 1) + 1)
+        ]
+        assert truncate(L).edges == tuple(want)
+
+
 def test_vertices_at():
     t = truncate(5)
     assert t.vertices_at(0) == (ROOT,)
