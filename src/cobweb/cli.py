@@ -71,20 +71,23 @@ def _matrix_text(m: incidence.TriangularMatrix, fmt: str) -> str:
     return _json_text({"schema": 1, **m.to_json_dict()})
 
 
+def _levels(args, cap: int) -> int:
+    if not 0 <= args.levels <= cap:
+        raise ValueError(f"levels must be in 0..{cap}, got {args.levels}")
+    return args.levels
+
+
 def _cmd_zeta(args) -> int:
-    if args.levels > ZETA_MAX_LEVELS:
-        raise ValueError(f"levels must be <= {ZETA_MAX_LEVELS}, got {args.levels}")
+    levels = _levels(args, ZETA_MAX_LEVELS)
     if args.source == "order":
-        m = incidence.zeta_from_order(args.levels)
+        m = incidence.zeta_from_order(levels)
     else:
-        m = incidence.zeta_explicit(fib_core.fib(args.levels + 2))
+        m = incidence.zeta_explicit(fib_core.fib(levels + 2))
     return _emit(_matrix_text(m, args.format), args.out)
 
 
 def _cmd_mobius(args) -> int:
-    if args.levels > ZETA_MAX_LEVELS:
-        raise ValueError(f"levels must be <= {ZETA_MAX_LEVELS}, got {args.levels}")
-    m = incidence.mobius(incidence.zeta_from_order(args.levels))
+    m = incidence.mobius(incidence.zeta_from_order(_levels(args, ZETA_MAX_LEVELS)))
     return _emit(_matrix_text(m, args.format), args.out)
 
 
@@ -141,16 +144,13 @@ def _cmd_fence(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    if args.levels > HASSE_MAX_LEVELS:
-        raise ValueError(f"levels must be <= {HASSE_MAX_LEVELS}, got {args.levels}")
-    return _emit(poset.to_dot(poset.truncate(args.levels)), args.out)
+    return _emit(poset.to_dot(poset.truncate(_levels(args, HASSE_MAX_LEVELS))), args.out)
 
 
 def _cmd_crosscheck(args) -> int:
     cfg = crosscheck.CrosscheckConfig(
         max_n=args.max_n,
         oracle_max_n=min(args.oracle_max_n, args.max_n),
-        jobs=args.jobs,
     )
     if args.out is None:
         return crosscheck.run_crosschecks(cfg)
@@ -223,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("crosscheck", _cmd_crosscheck, "run the full cross-validation table")
     p.add_argument("--max-n", dest="max_n", type=int, default=10)
     p.add_argument("--oracle-max-n", dest="oracle_max_n", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -22,7 +21,6 @@ from . import chains, fib_core, incidence, konvalina, paths_fences, poset
 class CrosscheckConfig:
     max_n: int = 10
     oracle_max_n: int = 7
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.max_n < 1 or self.oracle_max_n < 1:
@@ -31,9 +29,12 @@ class CrosscheckConfig:
             raise ValueError(
                 f"oracle_max_n ({self.oracle_max_n}) must not exceed max_n ({self.max_n})"
             )
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        chains.oracle_max()  # a bad COBWEB_ORACLE_MAX is a usage error, not a FAIL row
+        bound = chains.oracle_max()  # a bad COBWEB_ORACLE_MAX is a usage error, not a FAIL row
+        if self.oracle_max_n > bound:
+            raise ValueError(
+                f"oracle_max_n ({self.oracle_max_n}) exceeds the DFS oracle bound ({bound}); "
+                f"lower it or raise {chains.ORACLE_MAX_ENV}"
+            )
 
 
 class CheckFailure(Exception):
@@ -221,6 +222,8 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> None:
         for y in range(x + 1, n):
             want = dfs_count(x, y)
             _expect(acc.entry(x, y) == want, f"chain totals disagree at ({x}, {y})")
+            got = sum(incidence.chain_count(z, x, y, t) for t in range(1, max(L, 1) + 1))
+            _expect(got == want, f"chain_count totals {got} != {want} at ({x}, {y})")
 
 
 # --- chain interpretation -------------------------------------------------------
@@ -398,36 +401,25 @@ def _beck_identities(cfg: CrosscheckConfig) -> None:
 
 
 def run_crosschecks(cfg: CrosscheckConfig, stream: TextIO | None = None) -> int:
-    """Run every registered check; print one PASS/FAIL row each.
+    """Run every registered check in order; print one PASS/FAIL row each.
 
-    Returns 0 if all pass, 1 otherwise.  Rows print in registration order
-    whatever the job count, so output is deterministic.
+    Returns 0 if all pass, 1 otherwise.
     """
     if stream is None:
         stream = sys.stdout
-
-    def run_one(item: tuple[str, Callable[[CrosscheckConfig], None]]) -> tuple[str, str | None]:
-        name, fn = item
+    failures = 0
+    for name, fn in CHECKS:
         try:
             fn(cfg)
-            return name, None
+            err = None
         except CheckFailure as exc:
-            return name, str(exc)
+            err = str(exc)
         except Exception as exc:  # a crash is a failure, not an abort
-            return name, f"{type(exc).__name__}: {exc}"
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_one, CHECKS))
-    else:
-        results = [run_one(item) for item in CHECKS]
-
-    failures = 0
-    for name, err in results:
+            err = f"{type(exc).__name__}: {exc}"
         if err is None:
             print(f"PASS  {name}", file=stream)
         else:
             failures += 1
             print(f"FAIL  {name}: {err}", file=stream)
-    print(f"{len(results)} checks: {len(results) - failures} passed, {failures} failed", file=stream)
+    print(f"{len(CHECKS)} checks: {len(CHECKS) - failures} passed, {failures} failed", file=stream)
     return 0 if failures == 0 else 1

@@ -10,6 +10,7 @@ Powers of eta = zeta - delta count strict chains.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 
 from .fib_core import fib
@@ -68,25 +69,14 @@ class TriangularMatrix:
     # exact arithmetic ------------------------------------------------------
 
     def __mul__(self, other: "TriangularMatrix") -> "TriangularMatrix":
+        """Exact product: row i is row i of ``self`` times ``other``.
+
+        ``_back_substitute`` shares none of this code, so it stays an
+        independent oracle for mu * zeta = delta.
+        """
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        out = []
-        for i in range(n):
-            acc = [0] * n
-            for t in range(i, n):
-                c = self.rows[i][t]
-                if not c:
-                    continue
-                brow = other.rows[t]
-                if c == 1:
-                    acc = [x + y for x, y in zip(acc, brow)]
-                elif c == -1:
-                    acc = [x - y for x, y in zip(acc, brow)]
-                else:
-                    acc = [x + c * y for x, y in zip(acc, brow)]
-            out.append(acc)
-        return TriangularMatrix(out)
+        return TriangularMatrix([_vec_mat(row, other.rows) for row in self.rows])
 
     def __add__(self, other: "TriangularMatrix") -> "TriangularMatrix":
         if self.size != other.size:
@@ -252,32 +242,28 @@ def eta(z: TriangularMatrix) -> TriangularMatrix:
 def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
     """Number of strict chains x = z_0 < z_1 < ... < z_length = y.
 
-    Entry (x, y) of eta^length, computed by iterated row-vector products.
+    Entry (x, y) of eta^length with eta = zeta - delta.  Only row x is
+    carried: it starts as row x of eta and is stepped by v <- v*zeta - v,
+    so eta itself is never built.  ``_back_substitute`` does not use this
+    product and stays the independent oracle.
     """
     n = z.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"indices must be in 0..{n - 1}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    e = eta(z)
-    vec = list(e.rows[x])
+    vec = list(z.rows[x])
+    vec[x] -= 1
     for _ in range(length - 1):
-        nxt = [0] * n
-        for t in range(n):
-            c = vec[t]
-            if not c:
-                continue
-            row = e.rows[t]
-            for j in range(t + 1, n):
-                if row[j]:
-                    nxt[j] += c * row[j]
-        vec = nxt
+        vec = [a - b for a, b in zip(_vec_mat(vec, z.rows), vec)]
     return vec[y]
 
 
-def _rect_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _vec_mat(vec, rows) -> list[int]:
+    """Row vector times matrix, summing only the rows with a nonzero coefficient."""
+    coeffs = [c for c in vec if c]
+    cols = zip(*compress(rows, vec))
+    return [sum(map(mul, coeffs, col)) for col in cols] or [0] * len(rows[0])
 
 
 def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list[list[int]]:
@@ -306,5 +292,5 @@ def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list
     size0 = level_size(from_level)
     result = [[1 if i == j else 0 for j in range(size0)] for i in range(size0)]
     for s in range(from_level, to_level):
-        result = _rect_mul(result, steps[s])
+        result = [_vec_mat(row, steps[s]) for row in result]
     return result

@@ -162,13 +162,6 @@ def test_crosscheck_small_bounds(capsys):
     assert all(row.startswith("PASS") for row in rows)
 
 
-def test_crosscheck_jobs_output_matches_serial(capsys):
-    assert main(["crosscheck", "--max-n", "4", "--jobs", "4"]) == 0
-    parallel = capsys.readouterr().out
-    assert main(["crosscheck", "--max-n", "4", "--jobs", "1"]) == 0
-    assert capsys.readouterr().out == parallel
-
-
 def test_crosscheck_detects_mutation(capsys, monkeypatch):
     # harness sensitivity: corrupt one route and the table must go red
     monkeypatch.setattr(
@@ -190,8 +183,10 @@ def test_oracle_env_propagates_to_subprocess(tmp_path):
 
     env = dict(os.environ, COBWEB_ORACLE_MAX="2")
     proc = run_cli("crosscheck", "--max-n", "4", env=env)
-    assert proc.returncode == 1  # DFS-backed checks now exceed the oracle budget
-    assert "FAIL" in proc.stdout
+    # the clamped oracle bound 4 exceeds the budget 2 read from the environment
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds the DFS oracle bound (2)" in proc.stderr
 
 
 def test_bad_oracle_env_is_a_usage_error(capsys, monkeypatch):
@@ -200,6 +195,41 @@ def test_bad_oracle_env_is_a_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL" not in captured.out
     assert "COBWEB_ORACLE_MAX must be >= 1" in captured.err
+
+
+def test_oracle_bound_above_the_dfs_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COBWEB_ORACLE_MAX", "3")
+    assert main(["crosscheck", "--max-n", "4", "--oracle-max-n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle_max_n (4) exceeds the DFS oracle bound (3)" in captured.err
+    assert main(["crosscheck", "--max-n", "4", "--oracle-max-n", "3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--source", "order"],
+    ["zeta", "--source", "explicit"],
+    ["mobius"],
+    ["hasse"],
+])
+def test_negative_levels_are_a_usage_error(capsys, argv):
+    for levels in ("-1", "-2", "-3"):
+        assert main([*argv, "--levels", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        cap = 10 if argv[0] == "hasse" else 12
+        assert captured.err == f"error: levels must be in 0..{cap}, got {levels}\n"
+
+
+def test_crosscheck_checks_chain_count_against_dfs(capsys, monkeypatch):
+    real = crosscheck.incidence.chain_count
+    monkeypatch.setattr(
+        crosscheck.incidence, "chain_count", lambda z, x, y, t: real(z, x, y, t) + (t == 2)
+    )
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  strict-chains-dfs: chain_count totals" in out
+    assert out.count("FAIL") == 1
 
 
 def test_gv_negative_k_is_a_cobweb_usage_error(capsys):

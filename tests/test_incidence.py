@@ -214,6 +214,55 @@ def test_chain_count_examples():
     assert total == 4 == dfs_strict_chains(z, 0, y)
 
 
+def dfs_chains_of_length(z, x, y, steps):
+    # oracle: walk every strict chain from x to y with exactly ``steps`` steps
+    if steps == 1:
+        return 1 if x < y and z.entry(x, y) else 0
+    return sum(
+        dfs_chains_of_length(z, t, y, steps - 1) for t in range(x + 1, y) if z.entry(x, t)
+    )
+
+
+def test_chain_count_matches_dfs_for_each_length():
+    for L in range(6):
+        z = zeta_from_order(L)
+        for x in range(z.size):
+            for y in range(x + 1, z.size):
+                for t in range(1, L + 2):
+                    assert chain_count(z, x, y, t) == dfs_chains_of_length(z, x, y, t)
+
+
+def test_chain_count_is_zero_on_the_diagonal_and_beyond_the_height():
+    L = 5
+    z = zeta_from_order(L)
+    for x in range(z.size):
+        assert chain_count(z, x, x, 1) == 0
+        assert chain_count(z, x, x, 3) == 0
+        for y in range(z.size):
+            assert chain_count(z, x, y, L + 1) == 0
+            assert chain_count(z, x, y, L + 4) == 0
+
+
+def naive_product(a, b):
+    # oracle: the textbook triple loop over plain lists
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+def upper_triangular(n):
+    # n x n matrices with entries in -3..3 on and above the diagonal
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return rows.map(lambda m: [[x if j >= i else 0 for j, x in enumerate(r)] for i, r in enumerate(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(upper_triangular(n), upper_triangular(n))))
+def test_product_matches_naive_triple_loop(pair):
+    a, b = pair
+    got = TriangularMatrix(a) * TriangularMatrix(b)
+    assert [list(row) for row in got.rows] == naive_product(a, b)
+
+
 def test_chain_count_argument_checks():
     z = zeta_from_order(3)
     with pytest.raises(ValueError):
