@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .digits import decimal
-from .fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial, psi_falling
+from .fib_core import FIBONACCI, _divmod, fib, fibonomial_def, psi_factorial, psi_falling
 from .poset import (
     CobwebCopy,
     Vertex,
@@ -72,10 +72,12 @@ def fibonomial_via_chains(n: int, k: int) -> int:
 
     The division is asserted exact; a remainder would mean a broken build.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     m = n - k
-    q, r = divmod(max_chains_from_fixed(k, n), psi_factorial(FIBONACCI, m))
+    q, r = _divmod(max_chains_from_fixed(k, n), psi_factorial(FIBONACCI, m))
     if r:
         raise ArithmeticError(f"inexact chain division for n={n}, k={k}")
     return q

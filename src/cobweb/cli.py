@@ -16,6 +16,7 @@ from .digits import decimal
 
 ZETA_MAX_LEVELS = 12
 HASSE_MAX_LEVELS = 10
+FIB_MAX_N = 4_000_000  # about 0.7 s to compute and 10 s to print its 835 951 digits
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -36,6 +37,8 @@ def _json_text(doc: dict) -> str:
 
 
 def _cmd_fib(args) -> int:
+    if args.n > FIB_MAX_N:
+        raise ValueError(f"fib is bounded by n <= {FIB_MAX_N}, got n={args.n}")
     return _emit(f"{decimal(fib_core.fib(args.n))}\n", args.out)
 
 
@@ -49,6 +52,8 @@ _FIBONOMIAL_METHODS = {
 
 
 def _cmd_fibonomial(args) -> int:
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
     if args.method != "all":
         value = _FIBONOMIAL_METHODS[args.method](args.n, args.k)
         return _emit(f"{decimal(value)}\n", args.out)

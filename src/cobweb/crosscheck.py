@@ -95,6 +95,12 @@ def _fibonomial_integrality(cfg: CrosscheckConfig) -> None:
     for n in range(61):
         for k in range(n + 1):
             fib_core.fibonomial_def(n, k)  # raises ArithmeticError on remainder
+    # the divisors above stay below the recursive division's limit; this pair,
+    # 15 065 over 4 985 bits, takes the recursive path through an odd split
+    a = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
+    b = fib_core.psi_factorial(fib_core.FIBONACCI, 121)
+    got, want = fib_core._divmod(a, b), divmod(a, b)
+    _expect(got == want, "_divmod disagrees with divmod on falling/factorial at (241, 121)")
 
 
 @_check("natural-binomial")
@@ -380,7 +386,8 @@ def _fence_brute_vs_transfer(cfg: CrosscheckConfig) -> None:
 
 @_check("fence-fibonacci")
 def _fence_fibonacci(cfg: CrosscheckConfig) -> None:
-    for n in range(1, 21):
+    cap = fib_core._FIB_CAP  # fib reads a table up to here and doubles above it
+    for n in [*range(1, 21), cap - 3, cap - 2, cap - 1, 3 * cap]:
         got = paths_fences.fence_ideals(n)
         want = fib_core.fib(n + 2)
         _expect(got == want, f"fence ideals {got} != F_{n + 2} = {want}")

@@ -199,3 +199,9 @@ def test_greedy_family_can_fall_short_of_the_fibonomial():
 def test_greedy_copy_limit():
     with pytest.raises(ValueError):
         greedy_disjoint_copies(Vertex(2, 1), 3, copy_limit=3)
+
+
+def test_fibonomial_via_chains_rejects_negative_arguments():
+    for n, k in ((5, -1), (-1, 0), (-2, -3)):
+        with pytest.raises(ValueError, match=f"need n, k >= 0, got n={n}, k={k}"):
+            fibonomial_via_chains(n, k)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobweb import crosscheck
+from cobweb import crosscheck, fib_core
 from cobweb.chains import fibonomial_via_chains
-from cobweb.cli import main
+from cobweb.cli import FIB_MAX_N, main
 from cobweb.digits import decimal
-from cobweb.fib_core import fib, fibonomial_def
+from cobweb.fib_core import REC_MAX_N, fib, fibonomial_def
 
 
 def run_cli(*args, env=None):
@@ -303,3 +303,52 @@ def test_big_fib_via_subprocess():
     proc = run_cli("fib", "30000", env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == unlimited_str(fib(30000)) + "\n"
+
+
+@pytest.mark.parametrize("method", ["def", "recA", "recB", "chains", "gv", "all"])
+@pytest.mark.parametrize("n, k", [(5, -1), (5, 7), (0, -1), (0, 2), (-1, 0)])
+def test_fibonomial_arguments_checked_once_for_every_method(capsys, method, n, k):
+    assert main(["fibonomial", str(n), str(k), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need 0 <= k <= n, got n={n}, k={k}\n"
+
+
+def test_cost_bounds_are_usage_errors(capsys):
+    assert main(["fib", str(FIB_MAX_N + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fib is bounded by n <= {FIB_MAX_N}, got n={FIB_MAX_N + 1}\n"
+    for method in ("recA", "recB"):
+        assert main(["fibonomial", str(REC_MAX_N + 1), "3", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the recurrence is bounded by n <= {REC_MAX_N}, got n={REC_MAX_N + 1}\n"
+        )
+
+
+def test_crosscheck_detects_wrong_fib_above_the_table(capsys, monkeypatch):
+    # a wrong doubling step shows only above the table cap
+    real = crosscheck.fib_core.fib
+    monkeypatch.setattr(
+        crosscheck.fib_core, "fib", lambda n: real(n) + (n > fib_core._FIB_CAP)
+    )
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  fence-fibonacci: fence ideals" in out
+    assert f"!= F_{fib_core._FIB_CAP + 1} = " in out
+    assert out.count("FAIL") == 1
+
+
+def test_crosscheck_detects_wrong_recursive_division(capsys, monkeypatch):
+    # a wrong recursive step shows only for divisors above the limit
+    def wrong(a, b):
+        q, r = divmod(a, b)
+        return (q + 1, r) if b.bit_length() > fib_core._DIV_LIMIT else (q, r)
+
+    monkeypatch.setattr(crosscheck.fib_core, "_divmod", wrong)
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod" in out
+    assert out.count("FAIL") == 1

@@ -1,11 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cobweb import fib_core
+from cobweb.chains import fibonomial_via_chains
 from cobweb.fib_core import (
     FIBONACCI,
     NATURAL,
+    REC_MAX_N,
     PsiSequence,
     fib,
     fibonomial_def,
@@ -169,3 +175,133 @@ def test_fibonacci_sequence_instance():
     assert [FIBONACCI(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
     assert math.gcd(fibonomial_def(30, 15), 1) >= 1  # big values stay exact ints
     assert isinstance(fibonomial_def(40, 20), int)
+
+
+def loop_fibs(n):
+    # oracle: F_0..F_n by the plain loop, one list
+    out = [0, 1]
+    for _ in range(n - 1):
+        out.append(out[-1] + out[-2])
+    return out[: n + 1]
+
+
+CAP = fib_core._FIB_CAP
+FIBS = loop_fibs(3 * CAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3 * CAP))
+@example(CAP - 1)
+@example(CAP)
+@example(CAP + 1)
+@example(3 * CAP)
+def test_fib_matches_plain_loop_across_the_table_cap(n):
+    assert fib(n) == FIBS[n]
+
+
+def test_fib_does_not_depend_on_table_state(monkeypatch):
+    # a fresh table, asked for the largest index first, then walking down
+    monkeypatch.setattr(fib_core, "_FIB", [0, 1])
+    for n in (3 * CAP, CAP + 1, CAP, CAP - 1, 2 * CAP + 7, 100, 3, 0, CAP // 2):
+        assert fib(n) == FIBS[n]
+    assert len(fib_core._FIB) == CAP + 1  # filled to the cap, never past it
+    assert fib_core._FIB == FIBS[: CAP + 1]
+
+
+LIMIT = fib_core._DIV_LIMIT
+
+
+@st.composite
+def division_operands(draw):
+    # sizes come from a seeded generator so they spread evenly up to 2*10^5 bits
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    b_bits = draw(st.sampled_from([2, LIMIT - 1, LIMIT, LIMIT + 1, LIMIT + 2, 2 * LIMIT + 1, 0]))
+    b_bits = b_bits or rng.randint(2, 100_000)
+    a_bits = rng.randint(b_bits, 200_000)
+    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+    a = rng.getrandbits(a_bits)
+    shape = draw(st.sampled_from(["random", "one", "power", "smaller", "multiple"]))
+    if shape == "one":
+        b = 1
+    elif shape == "power":
+        b = 1 << b_bits
+    elif shape == "smaller":
+        a = rng.randrange(b)
+    elif shape == "multiple":
+        a = b * rng.getrandbits(a_bits - b_bits)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_operands())
+def test_recursive_division_equals_divmod(operands):
+    a, b = operands
+    assert fib_core._divmod(a, b) == divmod(a, b)
+
+
+def test_recursive_division_edge_cases():
+    big = (1 << 50_000) + 12345
+    ones = (1 << 9001) - 1  # the top halves of both operands tie, so q starts at 2^n - 1
+    for a, b in (
+        (big * big + 7, big), (big * big, big), (big - 1, big), (0, big), ((ones << 9001) - 1, ones),
+        (-(big * big), big), (big * big, -big), (big * 3, 1), ((1 << 60_000) - 1, 1 << 8000),
+    ):
+        assert fib_core._divmod(a, b) == divmod(a, b)
+    with pytest.raises(ZeroDivisionError):
+        fib_core._divmod(big, 0)
+
+
+def test_recursive_division_with_a_tiny_limit(monkeypatch):
+    # at a 2-bit limit small operands recurse deeply and take every branch:
+    # odd splits, tied top halves and the second quotient correction
+    monkeypatch.setattr(fib_core, "_DIV_LIMIT", 2)
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        b_bits = rng.randint(1, 64)
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        a = rng.getrandbits(rng.randint(0, 300))
+        assert fib_core._divmod(a, b) == divmod(a, b), (a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_routes_agree_on_random_points(point):
+    n, k = point
+    want = fibonomial_def(n, k)
+    assert fibonomial_rec(n, k, "A") == want
+    assert fibonomial_rec(n, k, "B") == want
+    assert fibonomial_via_chains(n, k) == want
+
+
+def full_table_rec(n, form):
+    # oracle: the whole (n+1) x (n+3) table row by row, F_{-1} = 1 by hand
+    fibs = loop_fibs(n + 1)
+
+    def f(i):
+        return 1 if i == -1 else fibs[i]
+
+    prev = [1] + [0] * (n + 2)
+    for i in range(1, n + 1):
+        cur = [1] + [0] * (n + 2)
+        for j in range(1, i + 1):
+            if form == "A":
+                cur[j] = f(j - 1) * prev[j] + f(i - j + 1) * prev[j - 1]
+            else:
+                cur[j] = f(j + 1) * prev[j] + f(i - 1 - j) * prev[j - 1]
+        prev = cur
+    return prev
+
+
+def test_banded_recurrence_matches_full_table():
+    for form in ("A", "B"):
+        for n in range(41):
+            want = full_table_rec(n, form)
+            for k in range(n + 3):
+                assert fibonomial_rec(n, k, form) == want[k], (n, k, form)
+
+
+def test_fibonomial_rec_is_bounded():
+    assert fibonomial_rec(REC_MAX_N, 3, "B") == fibonomial_def(REC_MAX_N, 3)
+    for form in ("A", "B"):
+        with pytest.raises(ValueError, match=f"bounded by n <= {REC_MAX_N}, got n={REC_MAX_N + 1}"):
+            fibonomial_rec(REC_MAX_N + 1, 2, form)
