@@ -52,8 +52,8 @@ def max_chains_from_fixed(k: int, n: int) -> int:
     The falling product F_n * F_{n-1} * ... * F_{k+1}; the same for every
     source vertex of the level.
     """
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return psi_falling(FIBONACCI, n, n - k)
 
 

@@ -37,6 +37,8 @@ def _json_text(doc: dict) -> str:
 
 
 def _cmd_fib(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"fib expects n >= 0, got {args.n}")
     if args.n > FIB_MAX_N:
         raise ValueError(f"fib is bounded by n <= {FIB_MAX_N}, got n={args.n}")
     return _emit(f"{decimal(fib_core.fib(args.n))}\n", args.out)

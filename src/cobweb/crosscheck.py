@@ -1,10 +1,13 @@
 """Cross-validation harness: every independent route to the same number is
 run against the others at desk-scale bounds.
 
-Checks are registered in a fixed order and report PASS/FAIL one line each;
-the runner keeps going after a failure so a broken build still prints the
-whole table.  Module references are looked up late so a monkeypatched
-function is genuinely exercised.
+Each check is a generator registered in a fixed order.  It yields one
+``(what, case, got, want)`` tuple per input it tries; the runner compares
+the two values, counts the cases and prints one PASS/FAIL row per check,
+naming the first input where the routes disagree.  The runner keeps going
+after a failure so a broken build still prints the whole table.  Module
+references are looked up late so a monkeypatched function is genuinely
+exercised.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import chains, fib_core, incidence, konvalina, paths_fences, poset
+from .digits import decimal
+
+CROSSCHECK_MAX_N = 100  # boxes-dp-vs-brute runs 50 * max_n weight vectors
+SHOW_MAX = 60  # a value printed in a FAIL row is cut to its head and tail beyond this
 
 
 @dataclass
@@ -25,6 +32,8 @@ class CrosscheckConfig:
     def __post_init__(self) -> None:
         if self.max_n < 1 or self.oracle_max_n < 1:
             raise ValueError("bounds must be >= 1")
+        if self.max_n > CROSSCHECK_MAX_N:
+            raise ValueError(f"max_n is bounded by {CROSSCHECK_MAX_N}, got {self.max_n}")
         if self.oracle_max_n > self.max_n:
             raise ValueError(
                 f"oracle_max_n ({self.oracle_max_n}) must not exceed max_n ({self.max_n})"
@@ -37,16 +46,9 @@ class CrosscheckConfig:
             )
 
 
-class CheckFailure(Exception):
-    pass
-
-
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CheckFailure(msg)
-
-
-CHECKS: list[tuple[str, Callable[[CrosscheckConfig], None]]] = []
+Case = tuple[str, object, object, object]  # (what, case, got, want)
+Check = Callable[[CrosscheckConfig], Iterator[Case]]
+CHECKS: list[tuple[str, Check]] = []
 
 
 def _check(name: str):
@@ -61,152 +63,148 @@ def _check(name: str):
 
 
 @_check("fibonomial-symmetry")
-def _fibonomial_symmetry(cfg: CrosscheckConfig) -> None:
+def _fibonomial_symmetry(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(21):
         for k in range(n + 1):
-            _expect(
-                fib_core.fibonomial_def(n, k) == fib_core.fibonomial_def(n, n - k),
-                f"symmetry broke at ({n}, {k})",
-            )
+            want = fib_core.fibonomial_def(n, k)
+            yield "symmetry", (n, k), fib_core.fibonomial_def(n, n - k), want
 
 
 @_check("fibonomial-recurrences")
-def _fibonomial_recurrences(cfg: CrosscheckConfig) -> None:
+def _fibonomial_recurrences(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(21):
         for k in range(n + 1):
             want = fib_core.fibonomial_def(n, k)
             for form in ("A", "B"):
-                got = fib_core.fibonomial_rec(n, k, form)
-                _expect(got == want, f"form {form} gave {got} != {want} at ({n}, {k})")
+                yield f"form {form}", (n, k), fib_core.fibonomial_rec(n, k, form), want
 
 
 @_check("fibonomial-cross-identity")
-def _fibonomial_cross_identity(cfg: CrosscheckConfig) -> None:
+def _fibonomial_cross_identity(cfg: CrosscheckConfig) -> Iterator[Case]:
     # F_k (n, k) = F_{n-k+1} (n, k-1): the identity that makes the two forms agree
     for n in range(1, 21):
         for k in range(1, n + 1):
             lhs = fib_core.fib(k) * fib_core.fibonomial_def(n, k)
             rhs = fib_core.fib(n - k + 1) * fib_core.fibonomial_def(n, k - 1)
-            _expect(lhs == rhs, f"cross identity broke at ({n}, {k})")
+            yield "cross identity", (n, k), lhs, rhs
 
 
 @_check("fibonomial-integrality")
-def _fibonomial_integrality(cfg: CrosscheckConfig) -> None:
+def _fibonomial_integrality(cfg: CrosscheckConfig) -> Iterator[Case]:
+    fact = [fib_core.psi_factorial(fib_core.FIBONACCI, m) for m in range(61)]
     for n in range(61):
         for k in range(n + 1):
-            fib_core.fibonomial_def(n, k)  # raises ArithmeticError on remainder
+            # def raises ArithmeticError on a remainder; its quotient must also multiply back
+            got = fib_core.fibonomial_def(n, k) * fact[k] * fact[n - k]
+            yield "def times F_k! F_(n-k)!", (n, k), got, fact[n]
     # the divisors above stay below the recursive division's limit; this pair,
     # 15 065 over 4 985 bits, takes the recursive path through an odd split
     a = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
     b = fib_core.psi_factorial(fib_core.FIBONACCI, 121)
-    got, want = fib_core._divmod(a, b), divmod(a, b)
-    _expect(got == want, "_divmod disagrees with divmod on falling/factorial at (241, 121)")
+    yield "_divmod disagrees with divmod", (241, 121), fib_core._divmod(a, b), divmod(a, b)
 
 
 @_check("natural-binomial")
-def _natural_binomial(cfg: CrosscheckConfig) -> None:
+def _natural_binomial(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(21):
         for k in range(n + 1):
             got = fib_core.psi_binomial(fib_core.NATURAL, n, k)
-            want = konvalina.pascal_binomial(n, k)
-            _expect(got == want, f"natural binomial gave {got} != {want} at ({n}, {k})")
+            yield "natural binomial", (n, k), got, konvalina.pascal_binomial(n, k)
 
 
 # --- poset structure ----------------------------------------------------------
 
 
 @_check("linear-index-roundtrip")
-def _linear_roundtrip(cfg: CrosscheckConfig) -> None:
+def _linear_roundtrip(cfg: CrosscheckConfig) -> Iterator[Case]:
     last_level = 0
     for i in range(fib_core.fib(14)):
         v = poset.from_linear(i)
-        _expect(poset.to_linear(v) == i, f"roundtrip broke at {i}")
-        _expect(v.level >= last_level, f"levels not monotone at {i}")
+        yield "to_linear(from_linear(i))", i, poset.to_linear(v), i
+        yield "levels monotone", i, v.level >= last_level, True
         last_level = v.level
 
 
 @_check("order-axioms")
-def _order_axioms(cfg: CrosscheckConfig) -> None:
+def _order_axioms(cfg: CrosscheckConfig) -> Iterator[Case]:
     verts = poset.truncate(7).vertices
     for u in verts:
-        _expect(poset.leq(u, u), f"not reflexive at {u}")
+        yield "reflexive", u, poset.leq(u, u), True
     for u in verts:
         for v in verts:
             if poset.leq(u, v) and poset.leq(v, u):
-                _expect(u == v, f"not antisymmetric at {u}, {v}")
+                yield "antisymmetric", (u, v), u == v, True
     for u in verts:
         for v in verts:
             if not poset.leq(u, v):
                 continue
             for w in verts:
                 if poset.leq(v, w):
-                    _expect(poset.leq(u, w), f"not transitive at {u}, {v}, {w}")
+                    yield "transitive", (u, v, w), poset.leq(u, w), True
 
 
 @_check("edge-counts")
-def _edge_counts(cfg: CrosscheckConfig) -> None:
+def _edge_counts(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 12) + 1):
         t = poset.truncate(L)
         want = sum(poset.level_size(s) * poset.level_size(s + 1) for s in range(L))
-        _expect(len(t.edges) == want, f"edge count {len(t.edges)} != {want} at L={L}")
-        _expect(t.vertex_count == fib_core.fib(L + 2), f"vertex count off at L={L}")
+        yield "edge count", f"L={L}", len(t.edges), want
+        yield "vertex count", f"L={L}", t.vertex_count, fib_core.fib(L + 2)
 
 
 @_check("copy-enumeration")
-def _copy_enumeration(cfg: CrosscheckConfig) -> None:
+def _copy_enumeration(cfg: CrosscheckConfig) -> Iterator[Case]:
     for k in range(7):
         for m in range(7 - k):
             for j in range(1, poset.level_size(k) + 1):
                 root = poset.Vertex(k, j)
                 want = sum(1 for _ in poset.enumerate_copies_rooted(root, m))
-                got = poset.count_copies_rooted(root, m)
-                _expect(got == want, f"copy count {got} != {want} at root {root}, m={m}")
+                yield "copy count", f"root {root}, m={m}", poset.count_copies_rooted(root, m), want
 
 
 # --- incidence algebra ---------------------------------------------------------
 
 
 @_check("zeta-two-routes")
-def _zeta_two_routes(cfg: CrosscheckConfig) -> None:
+def _zeta_two_routes(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 12) + 1):
-        a = incidence.zeta_from_order(L)
-        b = incidence.zeta_explicit(fib_core.fib(L + 2))
-        _expect(a == b, f"zeta routes disagree at L={L}")
+        got = incidence.zeta_explicit(fib_core.fib(L + 2)).rows
+        yield "explicit zeta", f"L={L}", got, incidence.zeta_from_order(L).rows
 
 
 @_check("zeta-row-zeros")
-def _zeta_row_zeros(cfg: CrosscheckConfig) -> None:
+def _zeta_row_zeros(cfg: CrosscheckConfig) -> Iterator[Case]:
     L = min(cfg.max_n, 12)
     z = incidence.zeta_from_order(L)
     for x in range(z.size):
         v = poset.from_linear(x)
         zeros = sum(1 for j in range(x + 1, z.size) if z.entry(x, j) == 0)
-        want = poset.level_size(v.level) - v.pos
-        _expect(zeros == want, f"row {x} has {zeros} zeros, expected {want}")
+        yield "zeros right of the diagonal", f"row {x}", zeros, poset.level_size(v.level) - v.pos
 
 
 @_check("mobius-inverse")
-def _mobius_inverse(cfg: CrosscheckConfig) -> None:
+def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 10) + 1):
         z = incidence.zeta_from_order(L)
         m = incidence.mobius(z)
-        _expect(m == incidence._back_substitute(z), f"level and dense mu disagree at L={L}")
-        ident = incidence.TriangularMatrix.identity(z.size)
-        _expect(m * z == ident, f"mu * zeta != delta at L={L}")
-        _expect(z * m == ident, f"zeta * mu != delta at L={L}")
+        want = incidence._back_substitute(z).rows
+        yield "level and dense mu disagree", f"L={L}", m.rows, want
+        ident = incidence.TriangularMatrix.identity(z.size).rows
+        yield "mu * zeta = delta", f"L={L}", (m * z).rows, ident
+        yield "zeta * mu = delta", f"L={L}", (z * m).rows, ident
 
 
 @_check("eta-nilpotent")
-def _eta_nilpotent(cfg: CrosscheckConfig) -> None:
+def _eta_nilpotent(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 7) + 1):
         e = incidence.eta(incidence.zeta_from_order(L))
-        _expect(e.power(L + 1).is_zero(), f"eta^{L + 1} != 0 at L={L}")
+        yield "eta^(L+1) is zero", f"L={L}", e.power(L + 1).is_zero(), True
         if L >= 1:
-            _expect(not e.power(L).is_zero(), f"eta^{L} vanished early at L={L}")
+            yield "eta^L is nonzero", f"L={L}", not e.power(L).is_zero(), True
 
 
 @_check("strict-chains-dfs")
-def _strict_chains_dfs(cfg: CrosscheckConfig) -> None:
+def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
     L = min(cfg.oracle_max_n, 6)
     z = incidence.zeta_from_order(L)
     n = z.size
@@ -227,46 +225,45 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> None:
     for x in range(n):
         for y in range(x + 1, n):
             want = dfs_count(x, y)
-            _expect(acc.entry(x, y) == want, f"chain totals disagree at ({x}, {y})")
+            yield "eta power sum", (x, y), acc.entry(x, y), want
             got = sum(incidence.chain_count(z, x, y, t) for t in range(1, max(L, 1) + 1))
-            _expect(got == want, f"chain_count totals {got} != {want} at ({x}, {y})")
+            yield "chain_count totals", (x, y), got, want
 
 
 # --- chain interpretation -------------------------------------------------------
 
 
 @_check("copy-count-examples")
-def _copy_count_examples(cfg: CrosscheckConfig) -> None:
+def _copy_count_examples(cfg: CrosscheckConfig) -> Iterator[Case]:
     # the five worked level-factor values, then the two flagged k=1 cases
     cases = {(3, 4): 6, (2, 4): 6, (3, 5): 30, (2, 5): 15, (4, 5): 15}
     for (k, n), want in cases.items():
         got = poset.level_size(k) * chains.fibonomial_via_chains(n, k)
-        _expect(got == want, f"level factor * fibonomial gave {got} != {want} at k={k}, n={n}")
+        yield "level factor * fibonomial", f"k={k}, n={n}", got, want
     for n, value in ((4, 3), (5, 5)):
         rep = chains.check_k1_degeneracy(n)
-        _expect(rep.flagged and rep.value == value, f"k=1 report wrong at n={n}: {rep}")
+        yield "k=1 report (flagged, value)", f"n={n}", (rep.flagged, rep.value), (True, value)
 
 
 @_check("root-chains-dfs")
-def _root_chains_dfs(cfg: CrosscheckConfig) -> None:
+def _root_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(cfg.oracle_max_n + 1):
         got = chains.brute_force_max_chains(0, n, poset.ROOT)
-        want = chains.max_chains_from_root(n)
-        _expect(got == want, f"root chains {got} != {want} at n={n}")
+        yield "DFS root chains", f"n={n}", got, chains.max_chains_from_root(n)
 
 
 @_check("fixed-chains-dfs")
-def _fixed_chains_dfs(cfg: CrosscheckConfig) -> None:
+def _fixed_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(cfg.oracle_max_n + 1):
         for k in range(n + 1):
             want = chains.max_chains_from_fixed(k, n)
             for j in range(1, poset.level_size(k) + 1):
                 got = chains.brute_force_max_chains(k, n, poset.Vertex(k, j))
-                _expect(got == want, f"fixed chains {got} != {want} at k={k}, n={n}, pos {j}")
+                yield "DFS fixed chains", f"k={k}, n={n}, pos {j}", got, want
 
 
 @_check("chain-division-identity")
-def _chain_division_identity(cfg: CrosscheckConfig) -> None:
+def _chain_division_identity(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(1, min(cfg.max_n, 12) + 1):
         for k in range(1, n + 1):
             lhs = (
@@ -274,137 +271,125 @@ def _chain_division_identity(cfg: CrosscheckConfig) -> None:
                 * chains.fibonomial_via_chains(n, k)
                 * fib_core.psi_factorial(fib_core.FIBONACCI, n - k)
             )
-            _expect(
-                lhs == chains.max_chains_level_to_level(k, n),
-                f"division identity broke at k={k}, n={n}",
-            )
+            yield "division identity", f"k={k}, n={n}", lhs, chains.max_chains_level_to_level(k, n)
 
 
 @_check("recurrence-split")
-def _recurrence_split(cfg: CrosscheckConfig) -> None:
+def _recurrence_split(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(1, 21):
         for k in range(1, n + 1):
             first, second = chains.recurrence_class_split(n, k)
-            want = fib_core.fibonomial_def(n + 1, k)
-            _expect(first + second == want, f"split {first}+{second} != {want} at ({n}, {k})")
+            yield "split sum", (n, k), first + second, fib_core.fibonomial_def(n + 1, k)
 
 
 @_check("fibonomial-five-way")
-def _fibonomial_five_way(cfg: CrosscheckConfig) -> None:
+def _fibonomial_five_way(cfg: CrosscheckConfig) -> Iterator[Case]:
     top = min(cfg.max_n, 12)
     for n in range(top + 1):
         for k in range(n + 1):
             want = fib_core.fibonomial_def(n, k)
-            results = {
-                "recA": fib_core.fibonomial_rec(n, k, "A"),
-                "recB": fib_core.fibonomial_rec(n, k, "B"),
-                "chains": chains.fibonomial_via_chains(n, k),
-                "gv": paths_fences.fibonomial_via_gv(n, k),
-            }
-            for name, got in results.items():
-                _expect(got == want, f"{name} gave {got} != {want} at ({n}, {k})")
+            yield "recA", (n, k), fib_core.fibonomial_rec(n, k, "A"), want
+            yield "recB", (n, k), fib_core.fibonomial_rec(n, k, "B"), want
+            yield "chains", (n, k), chains.fibonomial_via_chains(n, k), want
+            yield "gv", (n, k), paths_fences.fibonomial_via_gv(n, k), want
 
 
 # --- weighted boxes -------------------------------------------------------------
 
 
 @_check("boxes-dp-vs-brute")
-def _boxes_dp_vs_brute(cfg: CrosscheckConfig) -> None:
+def _boxes_dp_vs_brute(cfg: CrosscheckConfig) -> Iterator[Case]:
     rng = random.Random(20240301)
     for _ in range(50 * cfg.max_n):
         n = rng.randint(1, 8)
         w = konvalina.WeightVector(tuple(sorted(rng.randint(1, 5) for _ in range(n))))
         for k in range(n + 1):
-            _expect(
-                konvalina.c_first_kind(w, k) == konvalina.brute_sum(w, k, "first"),
-                f"first kind DP != brute at w={w.weights}, k={k}",
-            )
+            want = konvalina.brute_sum(w, k, "first")
+            yield "first kind DP", f"w={w.weights}, k={k}", konvalina.c_first_kind(w, k), want
         for k in range(9):
-            _expect(
-                konvalina.s_second_kind(w, k) == konvalina.brute_sum(w, k, "second"),
-                f"second kind DP != brute at w={w.weights}, k={k}",
-            )
+            want = konvalina.brute_sum(w, k, "second")
+            yield "second kind DP", f"w={w.weights}, k={k}", konvalina.s_second_kind(w, k), want
 
 
 @_check("boxes-specializations")
-def _boxes_specializations(cfg: CrosscheckConfig) -> None:
+def _boxes_specializations(cfg: CrosscheckConfig) -> Iterator[Case]:
+    first, second = konvalina.c_first_kind, konvalina.s_second_kind
+    binom = konvalina.pascal_binomial
     for n in range(1, 11):
         w = konvalina.specialize("uniform", n)
         for k in range(n + 1):
-            _expect(
-                konvalina.c_first_kind(w, k) == konvalina.pascal_binomial(n, k),
-                f"uniform first kind off at ({n}, {k})",
-            )
+            yield "uniform first kind", (n, k), first(w, k), binom(n, k)
         for k in range(11):
-            _expect(
-                konvalina.s_second_kind(w, k) == konvalina.pascal_binomial(n + k - 1, k),
-                f"uniform second kind off at ({n}, {k})",
-            )
+            yield "uniform second kind", (n, k), second(w, k), binom(n + k - 1, k)
     for q in (2, 3):
         for n in range(1, 7):
             w = konvalina.specialize("geometric", n, q)
             for k in range(n + 1):
                 want = q ** (k * (k - 1) // 2) * konvalina.gaussian_binomial(n, k, q)
-                _expect(
-                    konvalina.c_first_kind(w, k) == want,
-                    f"geometric first kind off at ({n}, {k}, q={q})",
-                )
+                yield "geometric first kind", f"({n}, {k}), q={q}", first(w, k), want
             for k in range(7):
                 want = konvalina.gaussian_binomial(n + k - 1, k, q)
-                _expect(
-                    konvalina.s_second_kind(w, k) == want,
-                    f"geometric second kind off at ({n}, {k}, q={q})",
-                )
+                yield "geometric second kind", f"({n}, {k}), q={q}", second(w, k), want
     for n in range(1, 8):
         w = konvalina.specialize("arithmetic", n)
         for k in range(8):
-            _expect(
-                konvalina.s_second_kind(w, k) == konvalina.stirling2(n + k, n),
-                f"arithmetic second kind off at ({n}, {k})",
-            )
+            yield "arithmetic second kind", (n, k), second(w, k), konvalina.stirling2(n + k, n)
         for k in range(n + 1):
-            _expect(
-                konvalina.c_first_kind(w, k) == konvalina.stirling1_unsigned(n + 1, n + 1 - k),
-                f"arithmetic first kind off at ({n}, {k})",
-            )
+            want = konvalina.stirling1_unsigned(n + 1, n + 1 - k)
+            yield "arithmetic first kind", (n, k), first(w, k), want
 
 
 # --- fences ----------------------------------------------------------------------
 
 
 @_check("fence-brute-vs-transfer")
-def _fence_brute_vs_transfer(cfg: CrosscheckConfig) -> None:
+def _fence_brute_vs_transfer(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(1, 19):
         want = paths_fences.fence_ideals_brute(n)
-        _expect(paths_fences.fence_ideals(n) == want, f"fence sweep != brute at n={n}")
+        yield "sweep vs brute", f"n={n}", paths_fences.fence_ideals(n), want
     for n in range(1, 13):
-        _expect(
-            paths_fences.fence_ideals_brute(n, up_first=False) == paths_fences.fence_ideals(n),
-            f"mirrored fence count off at n={n}",
-        )
+        got = paths_fences.fence_ideals_brute(n, up_first=False)
+        yield "mirrored brute vs sweep", f"n={n}", got, paths_fences.fence_ideals(n)
 
 
 @_check("fence-fibonacci")
-def _fence_fibonacci(cfg: CrosscheckConfig) -> None:
+def _fence_fibonacci(cfg: CrosscheckConfig) -> Iterator[Case]:
     cap = fib_core._FIB_CAP  # fib reads a table up to here and doubles above it
     for n in [*range(1, 21), cap - 3, cap - 2, cap - 1, 3 * cap]:
-        got = paths_fences.fence_ideals(n)
-        want = fib_core.fib(n + 2)
-        _expect(got == want, f"fence ideals {got} != F_{n + 2} = {want}")
+        yield "fence ideals vs F_(n+2)", f"n={n}", paths_fences.fence_ideals(n), fib_core.fib(n + 2)
 
 
 @_check("beck-identities")
-def _beck_identities(cfg: CrosscheckConfig) -> None:
+def _beck_identities(cfg: CrosscheckConfig) -> Iterator[Case]:
     for n in range(1, 31):
         for k in range(1, n + 1):
             for form in (1, 2):
-                _expect(
-                    paths_fences.beck_identity(n, k, form),
-                    f"form {form} identity failed at k={k}, n={n}",
-                )
+                got = paths_fences.beck_identity(n, k, form)
+                yield f"form {form} identity", f"k={k}, n={n}", got, True
 
 
 # --- runner ----------------------------------------------------------------------
+
+
+def _show(value) -> str:
+    """``value`` as text; past SHOW_MAX characters, only its head, tail and length."""
+    text = decimal(value) if isinstance(value, int) else str(value)
+    if len(text) <= SHOW_MAX:
+        return text
+    return f"{text[:24]}...{text[-24:]} ({len(text)} chars)"
+
+
+def _verdict(check: Check, cfg: CrosscheckConfig) -> str | None:
+    """None if every case of ``check`` agrees; otherwise the reason for a FAIL row."""
+    count = 0
+    try:
+        for what, case, got, want in check(cfg):
+            if got != want:
+                return f"{what} at {_show(case)}: got {_show(got)}, want {_show(want)}"
+            count += 1
+    except Exception as exc:  # a crash is a failure, not an abort
+        return f"{type(exc).__name__}: {exc}"
+    return None if count else "no cases ran"
 
 
 def run_crosschecks(cfg: CrosscheckConfig, stream: TextIO | None = None) -> int:
@@ -415,14 +400,8 @@ def run_crosschecks(cfg: CrosscheckConfig, stream: TextIO | None = None) -> int:
     if stream is None:
         stream = sys.stdout
     failures = 0
-    for name, fn in CHECKS:
-        try:
-            fn(cfg)
-            err = None
-        except CheckFailure as exc:
-            err = str(exc)
-        except Exception as exc:  # a crash is a failure, not an abort
-            err = f"{type(exc).__name__}: {exc}"
+    for name, check in CHECKS:
+        err = _verdict(check, cfg)
         if err is None:
             print(f"PASS  {name}", file=stream)
         else:

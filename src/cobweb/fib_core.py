@@ -34,13 +34,14 @@ _FIB = [0, 1]  # _FIB[i] = F_i, grown on demand up to _FIB_CAP
 def fib(n: int) -> int:
     """n-th Fibonacci number under F_0 = 0, F_1 = F_2 = 1; exact for any n.
 
+    Negative indices follow the recurrence backwards: F_{-n} = (-1)^{n+1} F_n.
     Indices up to 4096 come from a shared prefix table, extended on demand.
     Larger ones are computed by fast doubling over the bits of n,
     F_2m = F_m (2 F_{m+1} - F_m) and F_{2m+1} = F_m^2 + F_{m+1}^2, and are
     not cached.
     """
-    if n < 0:
-        raise ValueError(f"fib expects n >= 0, got {n}")
+    if n < 0:  # before the table read: _FIB[-1] would be the last entry
+        return fib(-n) if n % 2 else -fib(-n)
     if n < len(_FIB):
         return _FIB[n]
     if n <= _FIB_CAP:
@@ -191,8 +192,7 @@ def fibonomial_rec(n: int, k: int, form: str = "A") -> int:
     n^2/4 big-integer steps at k = n/2.
 
     Form A steps with coefficients F_{k-1} and F_{n-k+2}; form B with
-    F_{k+1} and F_{n-k}.  On the diagonal form B touches F_{-1}, which is
-    1 under the standard backward extension of the sequence.
+    F_{k+1} and F_{n-k}.  On the diagonal form B touches F_{-1} = 1.
     """
     if form not in ("A", "B"):
         raise ValueError(f"form must be 'A' or 'B', got {form!r}")
@@ -202,7 +202,7 @@ def fibonomial_rec(n: int, k: int, form: str = "A") -> int:
         raise ValueError(f"the recurrence is bounded by n <= {REC_MAX_N}, got n={n}")
     if k > n:
         return 0
-    f = [1] + [fib(i) for i in range(n + 2)]  # f[i + 1] = F_i, from F_{-1} = 1
+    f = [fib(i) for i in range(-1, n + 2)]  # f[i + 1] = F_i
     # form A reads F_{j-1} = f[j] and F_{i-j+1} = f[i-j+2];
     # form B reads F_{j+1} = f[j+2] and F_{i-j-1} = f[i-j]
     s = 0 if form == "A" else 2

@@ -54,9 +54,6 @@ class TriangularMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, TriangularMatrix) and self.rows == other.rows
 
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         return f"TriangularMatrix(size={self.size})"
 
@@ -128,28 +125,22 @@ def zeta_explicit(size: int) -> TriangularMatrix:
     """Zeta matrix from the closed formula zeta = zeta1 - zeta0.
 
     zeta1 is the all-ones upper triangle (diagonal included).  zeta0
-    punches out, for the vertex at linear index F_{s+1}+k of level s, the
-    F_s - k - 1 same-level columns to its right.  No poset machinery is
-    used here; the construction depends only on Fibonacci numbers.
+    punches out, for the vertex at linear index x = F_{s+1}+k of level s,
+    the F_s - k - 1 = F_{s+2} - x - 1 same-level columns to its right.
+    Each row is built straight from that rule: the diagonal one, those
+    zeros, then ones, clipped at ``size``.  No poset machinery is used
+    here; the construction depends only on Fibonacci numbers.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    z1 = [[1 if j >= i else 0 for j in range(size)] for i in range(size)]
-    z0 = [[0] * size for _ in range(size)]
-    s = 1
-    while fib(s + 1) < size:
-        fs = fib(s)
-        base = fib(s + 1)
-        for k in range(max(fs - 1, 0)):  # larger k leave the inner sum empty
-            x = base + k
-            if x >= size:
-                break
-            for r in range(1, fs - k):
-                y = x + r
-                if y < size:
-                    z0[x][y] = 1
+    rows: list[list[int]] = []
+    s = 0
+    while len(rows) < size:
+        end = min(fib(s + 2), size)  # level s ends before index F_{s+2}
+        for x in range(len(rows), end):
+            rows.append([0] * x + [1] + [0] * (end - x - 1) + [1] * (size - end))
         s += 1
-    return TriangularMatrix(z1) - TriangularMatrix(z0)
+    return TriangularMatrix(rows)
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:

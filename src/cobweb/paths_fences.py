@@ -157,11 +157,6 @@ def fence_ideals(n: int) -> int:
     return out_ + in_
 
 
-def _fib_ext(i: int) -> int:
-    # F_{-1} = 1 by the backward recurrence; lower indices never occur here
-    return fib(i) if i >= 0 else 1
-
-
 def beck_identity(n: int, k: int, form: int = 1) -> bool:
     """Check one of the two fence-derived Fibonacci product identities.
 
@@ -174,5 +169,5 @@ def beck_identity(n: int, k: int, form: int = 1) -> bool:
         return fib(n) == fib(k) * fib(n + 1 - k) + fib(k - 1) * fib(n - k)
     if form == 2:
         kk = k - 1
-        return fib(n) == _fib_ext(kk) * fib(n + 1 - kk) + _fib_ext(kk - 1) * fib(n - kk)
+        return fib(n) == fib(kk) * fib(n + 1 - kk) + fib(kk - 1) * fib(n - kk)
     raise ValueError(f"form must be 1 or 2, got {form}")

@@ -337,7 +337,9 @@ def test_crosscheck_detects_wrong_fib_above_the_table(capsys, monkeypatch):
     assert main(["crosscheck", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  fence-fibonacci: fence ideals" in out
-    assert f"!= F_{fib_core._FIB_CAP + 1} = " in out
+    want = fib(fib_core._FIB_CAP + 1)
+    row = f"at n={fib_core._FIB_CAP - 1}: got {shortened(want)}, want {shortened(want + 1)}\n"
+    assert row in out
     assert out.count("FAIL") == 1
 
 
@@ -352,3 +354,72 @@ def test_crosscheck_detects_wrong_recursive_division(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod" in out
     assert out.count("FAIL") == 1
+
+
+def shortened(value):
+    # a FAIL row prints a value past 60 characters as its head, tail and length
+    text = decimal(value)
+    return f"{text[:24]}...{text[-24:]} ({len(text)} chars)"
+
+
+def test_crosscheck_fail_row_names_the_first_disagreement(capsys, monkeypatch):
+    real = crosscheck.fib_core.fibonomial_rec
+    monkeypatch.setattr(
+        crosscheck.fib_core,
+        "fibonomial_rec",
+        lambda n, k, form="A": real(n, k, form) + ((n, k) == (15, 7)),
+    )
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    want = fibonomial_def(15, 7)
+    assert f"FAIL  fibonomial-recurrences: form A at (15, 7): got {want + 1}, want {want}\n" in out
+    assert out.count("FAIL") == 1
+
+
+def test_crosscheck_check_without_cases_or_with_a_crash_fails(capsys, monkeypatch):
+    def empty(cfg):
+        yield from range(cfg.max_n, 0)  # a bounds slip: nothing to compare
+
+    def crash(cfg):
+        yield "quotient", 0, 1 // 0, 0
+
+    checks = [("empty", empty), *crosscheck.CHECKS, ("crash", crash)]
+    monkeypatch.setattr(crosscheck, "CHECKS", checks)
+    assert main(["crosscheck", "--max-n", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  empty: no cases ran\n")
+    assert "FAIL  crash: ZeroDivisionError: integer division or modulo by zero\n" in out
+    assert out.endswith("27 checks: 25 passed, 2 failed\n")
+
+
+# SHA-256 of the green `cobweb crosscheck` table, the same at every --max-n
+GREEN_TABLE_SHA256 = "85b6786f7770a8214f529a6e605a86fb54fbcf50e5a88c07b5b6118bcdef1250"
+
+
+@pytest.mark.parametrize("max_n", ["1", "4", "10"])
+def test_green_crosscheck_table_bytes_unchanged(capsys, max_n):
+    assert main(["crosscheck", "--max-n", max_n]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GREEN_TABLE_SHA256
+
+
+def test_crosscheck_max_n_is_bounded(capsys):
+    bound = crosscheck.CROSSCHECK_MAX_N
+    assert main(["crosscheck", "--max-n", str(bound + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_n is bounded by {bound}, got {bound + 1}\n"
+    assert crosscheck.CrosscheckConfig(max_n=bound).max_n == bound
+
+
+def test_fib_negative_index_is_a_usage_error(capsys):
+    assert main(["fib", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fib expects n >= 0, got -1\n"
+
+
+def test_chains_negative_k_is_a_usage_error(capsys):
+    assert main(["chains", "-1", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 0 <= k <= n, got k=-1, n=5\n"

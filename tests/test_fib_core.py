@@ -52,9 +52,12 @@ def test_fib_matches_unrolled_recurrence():
         assert fib(n) == unrolled_fib(n)
 
 
-def test_fib_rejects_negative():
-    with pytest.raises(ValueError):
-        fib(-1)
+def test_fib_negative_indices():
+    # F_{-n} = (-1)^{n+1} F_n, and the recurrence runs unchanged through 0
+    for n in range(61):
+        assert fib(-n) == (-1) ** (n + 1) * fib(n)
+    for n in range(-62, 0):
+        assert fib(n + 2) == fib(n + 1) + fib(n)
 
 
 def test_psi_factorial_values():

@@ -91,6 +91,13 @@ def test_zeta_routes_agree():
         assert zeta_from_order(L) == zeta_explicit(fib(L + 2))
 
 
+def test_zeta_explicit_is_the_leading_block_at_every_size():
+    L = 9
+    full = zeta_from_order(L).rows
+    for size in range(1, fib(L + 2) + 1):
+        assert zeta_explicit(size).rows == tuple(row[:size] for row in full[:size])
+
+
 def test_zeta_explicit_rejects_empty():
     with pytest.raises(ValueError):
         zeta_explicit(0)
