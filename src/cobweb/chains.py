@@ -8,7 +8,6 @@ test suite and the crosscheck harness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .digits import decimal
@@ -23,22 +22,7 @@ from .poset import (
     truncate,
 )
 
-ORACLE_MAX_ENV = "COBWEB_ORACLE_MAX"
-DEFAULT_ORACLE_MAX = 8  # 8_F! = 65520 chains; DFS stays well under a second
-
-
-def oracle_max() -> int:
-    """DFS ceiling for brute_force_max_chains; COBWEB_ORACLE_MAX overrides."""
-    raw = os.environ.get(ORACLE_MAX_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_MAX
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ORACLE_MAX_ENV} must be an integer, got {raw!r}") from exc
-    if bound < 1:
-        raise ValueError(f"{ORACLE_MAX_ENV} must be >= 1, got {raw!r}")
-    return bound
+ORACLE_MAX_N = 8  # 8_F! = 65520 chains; DFS stays well under a second
 
 
 def max_chains_from_root(n: int) -> int:
@@ -157,9 +141,8 @@ def brute_force_max_chains(k: int, n: int, source: Vertex | None = None) -> int:
     Oracle code: every chain is walked, no closed form and no memo.
     ``source`` fixes one level-k start vertex; None sums the whole level.
     """
-    bound = oracle_max()
-    if n > bound:
-        raise ValueError(f"DFS oracle bound is {bound} (set {ORACLE_MAX_ENV} to change), got n={n}")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"DFS oracle bound is {ORACLE_MAX_N}, got n={n}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     if source is not None and source.level != k:

@@ -17,6 +17,8 @@ from .digits import decimal
 ZETA_MAX_LEVELS = 12
 HASSE_MAX_LEVELS = 10
 FIB_MAX_N = 4_000_000  # about 0.7 s to compute and 10 s to print its 835 951 digits
+FENCE_MAX_N = 200_000  # about 1 s; the sweep's additions grow with n, so the cost is quadratic
+KONVALINA_MAX = 1000  # on k and on the weight count; 1000 weights of 2 at k = 1000 take 0.5 s
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -118,7 +120,13 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_konvalina(args) -> int:
-    weights = konvalina.WeightVector(tuple(int(x) for x in args.weights.split(",")))
+    raw = args.weights.split(",")
+    if args.k > KONVALINA_MAX or len(raw) > KONVALINA_MAX:
+        raise ValueError(
+            f"konvalina is bounded by k <= {KONVALINA_MAX} and {KONVALINA_MAX} weights, "
+            f"got k={args.k} and {len(raw)} weights"
+        )
+    weights = konvalina.WeightVector(tuple(int(x) for x in raw))
     fn = konvalina.c_first_kind if args.kind == "first" else konvalina.s_second_kind
     value = fn(weights, args.k)
     if args.brute:
@@ -141,6 +149,8 @@ def _cmd_gv(args) -> int:
 
 
 def _cmd_fence(args) -> int:
+    if args.n > FENCE_MAX_N:
+        raise ValueError(f"fence is bounded by n <= {FENCE_MAX_N}, got n={args.n}")
     value = paths_fences.fence_ideals(args.n)
     if args.brute:
         check = paths_fences.fence_ideals_brute(args.n)

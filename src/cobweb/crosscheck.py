@@ -38,11 +38,10 @@ class CrosscheckConfig:
             raise ValueError(
                 f"oracle_max_n ({self.oracle_max_n}) must not exceed max_n ({self.max_n})"
             )
-        bound = chains.oracle_max()  # a bad COBWEB_ORACLE_MAX is a usage error, not a FAIL row
-        if self.oracle_max_n > bound:
+        if self.oracle_max_n > chains.ORACLE_MAX_N:  # a usage error, not two DFS FAIL rows
             raise ValueError(
-                f"oracle_max_n ({self.oracle_max_n}) exceeds the DFS oracle bound ({bound}); "
-                f"lower it or raise {chains.ORACLE_MAX_ENV}"
+                f"oracle_max_n ({self.oracle_max_n}) exceeds "
+                f"the DFS oracle bound ({chains.ORACLE_MAX_N})"
             )
 
 
@@ -254,12 +253,24 @@ def _root_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
 
 @_check("fixed-chains-dfs")
 def _fixed_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
+    dfs = {}
     for n in range(cfg.oracle_max_n + 1):
         for k in range(n + 1):
             want = chains.max_chains_from_fixed(k, n)
             for j in range(1, poset.level_size(k) + 1):
-                got = chains.brute_force_max_chains(k, n, poset.Vertex(k, j))
-                yield "DFS fixed chains", f"k={k}, n={n}, pos {j}", got, want
+                dfs[k, n, j] = chains.brute_force_max_chains(k, n, poset.Vertex(k, j))
+                yield "DFS fixed chains", f"k={k}, n={n}, pos {j}", dfs[k, n, j], want
+    # the same DFS counts against the saturated-chain matrix of every truncation holding level n
+    for (k, n, j), want in dfs.items():
+        for L in range(n, cfg.oracle_max_n + 1):
+            row = incidence.maximal_chain_matrix(L, k, n)[j - 1]
+            case = f"L={L}, k={k}, n={n}, pos {j}"
+            yield "chain matrix row sum vs DFS", case, sum(row), want
+            if k < n:
+                yield "chain matrix row entries equal", case, len(set(row)), 1
+            else:
+                unit = [int(i == j) for i in range(1, len(row) + 1)]
+                yield "chain matrix identity row", case, row, unit
 
 
 @_check("chain-division-identity")

@@ -11,10 +11,11 @@ Powers of eta = zeta - delta count strict chains.
 from __future__ import annotations
 
 from itertools import compress
+from math import prod
 from operator import mul
 
 from .fib_core import fib
-from .poset import Vertex, leq, level_size, to_linear, truncate
+from .poset import leq, level_size, truncate
 
 
 class TriangularMatrix:
@@ -45,10 +46,6 @@ class TriangularMatrix:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
@@ -127,20 +124,16 @@ def zeta_explicit(size: int) -> TriangularMatrix:
     zeta1 is the all-ones upper triangle (diagonal included).  zeta0
     punches out, for the vertex at linear index x = F_{s+1}+k of level s,
     the F_s - k - 1 = F_{s+2} - x - 1 same-level columns to its right.
-    Each row is built straight from that rule: the diagonal one, those
-    zeros, then ones, clipped at ``size``.  No poset machinery is used
-    here; the construction depends only on Fibonacci numbers.
+    So level s is a staircase block ending at F_{s+2}, clipped at
+    ``size``, with ones after it.  No poset machinery is used here; the
+    construction depends only on Fibonacci numbers.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    rows: list[list[int]] = []
-    s = 0
-    while len(rows) < size:
-        end = min(fib(s + 2), size)  # level s ends before index F_{s+2}
-        for x in range(len(rows), end):
-            rows.append([0] * x + [1] + [0] * (end - x - 1) + [1] * (size - end))
-        s += 1
-    return TriangularMatrix(rows)
+    ends: list[int] = []
+    while not ends or ends[-1] < size:
+        ends.append(min(fib(len(ends) + 2), size))  # level s ends before index F_{s+2}
+    return TriangularMatrix(_staircase(ends, [(1,) * (size - end) for end in ends]))
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
@@ -155,42 +148,9 @@ def mobius(z: TriangularMatrix) -> TriangularMatrix:
     ends = _antichain_block_ends(z.rows)
     if ends is None:
         return _back_substitute(z)
-    return _ordinal_sum_mobius(ends)
-
-
-def _antichain_block_ends(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
-    """End indices of the blocks if ``rows`` is the zeta matrix of an ordinal
-    sum of antichains, else None.
-
-    Row i of block [start, end) must read 0...0 1 0...0 1...1: the diagonal
-    one, zeros up to the block end, ones after it.  Whole rows are compared.
-    """
-    n = len(rows)
-    zeros = (0,) * n
-    ends = []
-    start = 0
-    while start < n:
-        try:
-            end = rows[start].index(1, start + 1)
-        except ValueError:
-            end = n
-        ones = (1,) * (n - end)
-        for i in range(start, end):
-            if rows[i] != zeros[:i] + (1,) + zeros[: end - i - 1] + ones:
-                return None
-        ends.append(end)
-        start = end
-    return ends
-
-
-def _ordinal_sum_mobius(ends: list[int]) -> TriangularMatrix:
-    """Moebius matrix of the ordinal sum of antichains ending at ``ends``."""
-    n = ends[-1] if ends else 0
-    starts = [0, *ends[:-1]]
-    sizes = [end - start for start, end in zip(starts, ends)]
-    zeros = (0,) * n
-    rows = []
-    for b, (start, end) in enumerate(zip(starts, ends)):
+    sizes = [end - start for start, end in zip([0, *ends], ends)]
+    tails = []
+    for b in range(len(sizes)):
         # mu(b, c) for every later block c, each repeated |B_c| times
         tail: list[int] = []
         partial = 1  # 1 + sum over the blocks l passed so far of |B_l| mu(b, l)
@@ -198,9 +158,39 @@ def _ordinal_sum_mobius(ends: list[int]) -> TriangularMatrix:
             mu = -partial
             tail += [mu] * size
             partial += size * mu
-        shared = tuple(tail)
-        rows.extend(zeros[:i] + (1,) + zeros[: end - i - 1] + shared for i in range(start, end))
-    return TriangularMatrix(rows)
+        tails.append(tuple(tail))
+    return TriangularMatrix(_staircase(ends, tails))
+
+
+def _antichain_block_ends(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """End indices of the blocks if ``rows`` is the zeta matrix of an ordinal
+    sum of antichains, else None: each block ends at the first one right of
+    its first row's diagonal, and the whole matrix must be that staircase.
+    """
+    n = len(rows)
+    ends = []
+    start = 0
+    while start < n:  # a sentinel one at index n ends the last block
+        start = (rows[start] + (1,)).index(1, start + 1)
+        ends.append(start)
+    if list(rows) != _staircase(ends, [(1,) * (n - end) for end in ends]):
+        return None
+    return ends
+
+
+def _staircase(ends: list[int], tails: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Rows of an ordinal sum of blocks ending at ``ends``.
+
+    Row i of block b reads the diagonal one, zeros up to the block end,
+    then ``tails[b]``, which holds the entries of every later block.
+    """
+    zeros = (0,) * (ends[-1] if ends else 0)
+    rows = []
+    start = 0
+    for end, tail in zip(ends, tails):
+        rows.extend(zeros[:i] + (1,) + zeros[: end - i - 1] + tail for i in range(start, end))
+        start = end
+    return rows
 
 
 def _back_substitute(z: TriangularMatrix) -> TriangularMatrix:
@@ -260,28 +250,15 @@ def _vec_mat(vec, rows) -> list[int]:
 def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list[list[int]]:
     """Saturated-chain counts between two levels, vertex by vertex.
 
-    The product of the per-step cover matrices read off the truncation's
-    edge list; entry (u, v) counts saturated chains from the u-th vertex
-    of from_level to the v-th vertex of to_level.  Zero steps give the
-    identity.
+    Each vertex covers its whole next level, so every entry is the product
+    of the sizes of the levels strictly between; zero steps give the identity.
     """
     if not 0 <= from_level <= to_level <= max_level:
         raise ValueError(
             f"need 0 <= from_level <= to_level <= max_level, got {from_level}, {to_level}, {max_level}"
         )
-    t = truncate(max_level)
-    offset = [to_linear(Vertex(s, 1)) for s in range(max_level + 1)]
-    level_of = [v.level for v in t.vertices]
-    steps = {
-        s: [[0] * level_size(s + 1) for _ in range(level_size(s))]
-        for s in range(from_level, to_level)
-    }
-    for i, j in t.edges:  # one pass, each edge counted in its source level's step
-        s = level_of[i]
-        if from_level <= s < to_level:
-            steps[s][i - offset[s]][j - offset[s + 1]] += 1
-    size0 = level_size(from_level)
-    result = [[1 if i == j else 0 for j in range(size0)] for i in range(size0)]
-    for s in range(from_level, to_level):
-        result = [_vec_mat(row, steps[s]) for row in result]
-    return result
+    rows = level_size(from_level)
+    if from_level == to_level:
+        return [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    count = prod(map(level_size, range(from_level + 1, to_level)))
+    return [[count] * level_size(to_level) for _ in range(rows)]

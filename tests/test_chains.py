@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cobweb.chains import (
+    ORACLE_MAX_N,
     brute_force_max_chains,
     chain_count_report,
     check_k1_degeneracy,
@@ -11,7 +12,6 @@ from cobweb.chains import (
     max_chains_from_fixed,
     max_chains_from_root,
     max_chains_level_to_level,
-    oracle_max,
     recurrence_class_split,
 )
 from cobweb.fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial
@@ -140,25 +140,12 @@ def test_report_from_root_level():
     assert rep.per_source == rep.total == 30
 
 
-def test_oracle_bound(monkeypatch):
-    assert oracle_max() == 8
-    with pytest.raises(ValueError):
-        brute_force_max_chains(0, 9, ROOT)
-    monkeypatch.setenv("COBWEB_ORACLE_MAX", "5")
-    with pytest.raises(ValueError):
-        brute_force_max_chains(0, 6, ROOT)
-    monkeypatch.setenv("COBWEB_ORACLE_MAX", "9")
-    assert brute_force_max_chains(9, 9, Vertex(9, 1)) == 1
-    monkeypatch.setenv("COBWEB_ORACLE_MAX", "many")
-    with pytest.raises(ValueError):
-        brute_force_max_chains(0, 3, ROOT)
-
-
-def test_oracle_bound_must_be_positive(monkeypatch):
-    for raw in ("0", "-3"):
-        monkeypatch.setenv("COBWEB_ORACLE_MAX", raw)
-        with pytest.raises(ValueError, match=">= 1"):
-            oracle_max()
+def test_oracle_bound():
+    bound = ORACLE_MAX_N
+    assert bound == 8
+    assert brute_force_max_chains(bound, bound, Vertex(bound, 1)) == 1
+    with pytest.raises(ValueError, match=f"DFS oracle bound is {bound}, got n={bound + 1}"):
+        brute_force_max_chains(0, bound + 1, ROOT)
 
 
 def test_dfs_source_level_mismatch():

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobweb import crosscheck, fib_core
+from cobweb import chains, crosscheck, fib_core
 from cobweb.chains import fibonomial_via_chains
-from cobweb.cli import FIB_MAX_N, main
+from cobweb.cli import (
+    FENCE_MAX_N,
+    FIB_MAX_N,
+    HASSE_MAX_LEVELS,
+    KONVALINA_MAX,
+    ZETA_MAX_LEVELS,
+    main,
+)
 from cobweb.digits import decimal
 from cobweb.fib_core import REC_MAX_N, fib, fibonomial_def
+from cobweb.paths_fences import GV_MAX_N
 
 
 def run_cli(*args, env=None):
@@ -178,32 +186,16 @@ def test_crosscheck_writes_to_file(tmp_path):
     assert "checks:" in out.read_text()
 
 
-def test_oracle_env_propagates_to_subprocess(tmp_path):
-    import os
-
-    env = dict(os.environ, COBWEB_ORACLE_MAX="2")
-    proc = run_cli("crosscheck", "--max-n", "4", env=env)
-    # the clamped oracle bound 4 exceeds the budget 2 read from the environment
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "exceeds the DFS oracle bound (2)" in proc.stderr
-
-
-def test_bad_oracle_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("COBWEB_ORACLE_MAX", "0")
-    assert main(["crosscheck", "--max-n", "4"]) == 2
-    captured = capsys.readouterr()
-    assert "FAIL" not in captured.out
-    assert "COBWEB_ORACLE_MAX must be >= 1" in captured.err
-
-
-def test_oracle_bound_above_the_dfs_budget_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("COBWEB_ORACLE_MAX", "3")
-    assert main(["crosscheck", "--max-n", "4", "--oracle-max-n", "4"]) == 2
+def test_oracle_bound_above_the_dfs_budget_is_a_usage_error(capsys):
+    bound = chains.ORACLE_MAX_N
+    above = str(bound + 1)
+    assert main(["crosscheck", "--max-n", above, "--oracle-max-n", above]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "oracle_max_n (4) exceeds the DFS oracle bound (3)" in captured.err
-    assert main(["crosscheck", "--max-n", "4", "--oracle-max-n", "3"]) == 0
+    assert captured.err == (
+        f"error: oracle_max_n ({bound + 1}) exceeds the DFS oracle bound ({bound})\n"
+    )
+    assert main(["crosscheck", "--max-n", above, "--oracle-max-n", str(bound)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,11 +255,14 @@ MATRIX_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("cmd, fmt", sorted(MATRIX_OUTPUT_SHA256))
 def test_matrix_output_bytes_unchanged(capsys, cmd, fmt):
-    h = hashlib.sha256()
-    for L in range(9):
-        assert main([cmd, "--levels", str(L), "--format", fmt]) == 0
-        h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == MATRIX_OUTPUT_SHA256[cmd, fmt]
+    # zeta from the closed staircase must print the bytes of zeta read off the order
+    for source in (["order", "explicit"] if cmd == "zeta" else [None]):
+        h = hashlib.sha256()
+        for L in range(9):
+            argv = [cmd, "--levels", str(L), "--format", fmt]
+            assert main(argv + (["--source", source] if source else [])) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == MATRIX_OUTPUT_SHA256[cmd, fmt]
 
 
 def unlimited_str(value):
@@ -423,3 +418,56 @@ def test_chains_negative_k_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need 0 <= k <= n, got k=-1, n=5\n"
+
+
+# every subcommand once at a small legal input
+SMALL_INPUTS = [
+    ["fib", "10"],
+    ["fibonomial", "6", "3", "--method", "all"],
+    ["zeta", "--levels", "3", "--source", "explicit"],
+    ["mobius", "--levels", "3", "--format", "json"],
+    ["chains", "2", "5"],
+    ["copies", "2", "1", "2"],
+    ["konvalina", "--weights", "1,2,3", "--k", "2", "--brute"],
+    ["gv", "5", "2"],
+    ["fence", "6", "--brute"],
+    ["hasse", "--levels", "3"],
+    ["crosscheck", "--max-n", "1"],
+]
+
+# each stated bound, and an input just past it
+PAST_BOUNDS = [
+    (FIB_MAX_N, ["fib", str(FIB_MAX_N + 1)]),
+    (REC_MAX_N, ["fibonomial", str(REC_MAX_N + 1), "3", "--method", "recA"]),
+    (GV_MAX_N, ["gv", str(GV_MAX_N + 1), "2"]),
+    (FENCE_MAX_N, ["fence", str(FENCE_MAX_N + 1)]),
+    (KONVALINA_MAX, ["konvalina", "--weights", "2", "--k", str(KONVALINA_MAX + 1), "--kind", "second"]),
+    (KONVALINA_MAX, ["konvalina", "--weights", ",".join(["2"] * (KONVALINA_MAX + 1)), "--k", "1"]),
+    (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1)]),
+    (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1), "--source", "explicit"]),
+    (ZETA_MAX_LEVELS, ["mobius", "--levels", str(ZETA_MAX_LEVELS + 1)]),
+    (HASSE_MAX_LEVELS, ["hasse", "--levels", str(HASSE_MAX_LEVELS + 1)]),
+    (crosscheck.CROSSCHECK_MAX_N, ["crosscheck", "--max-n", str(crosscheck.CROSSCHECK_MAX_N + 1)]),
+    (chains.ORACLE_MAX_N, ["crosscheck", "--max-n", "9", "--oracle-max-n", str(chains.ORACLE_MAX_N + 1)]),
+]
+
+
+def argv_id(argv):
+    return " ".join(argv)[:48]
+
+
+@pytest.mark.parametrize("argv", SMALL_INPUTS, ids=argv_id)
+def test_cli_contract_small_inputs_succeed(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("bound, argv", PAST_BOUNDS, ids=[argv_id(argv) for _, argv in PAST_BOUNDS])
+def test_cli_contract_past_a_bound_is_a_usage_error(bound, argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and str(bound) in proc.stderr

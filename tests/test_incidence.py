@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cobweb.chains import brute_force_max_chains
 from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
@@ -313,14 +314,20 @@ def test_maximal_chain_matrix_examples():
         maximal_chain_matrix(5, 4, 2)
 
 
-def test_maximal_chain_matrix_row_sums_are_falling_products():
-    for n in range(1, 7):
-        for k in range(n + 1):
-            m = maximal_chain_matrix(n, k, n)
-            want = 1
-            for s in range(k + 1, n + 1):
-                want *= level_size(s)
-            assert all(sum(row) == want for row in m)
+def test_maximal_chain_matrix_matches_dfs():
+    # oracle: the DFS walks every saturated chain of the truncated Hasse diagram
+    for L in range(8):
+        for b in range(L + 1):
+            for a in range(b + 1):
+                m = maximal_chain_matrix(L, a, b)
+                assert len(m) == level_size(a)
+                for j, row in enumerate(m, start=1):
+                    assert len(row) == level_size(b)
+                    assert sum(row) == brute_force_max_chains(a, b, Vertex(a, j))
+                    if a < b:
+                        assert len(set(row)) == 1
+                    else:
+                        assert row == [int(i == j) for i in range(1, len(row) + 1)]
 
 
 def test_matrix_exports():
