@@ -19,6 +19,7 @@ HASSE_MAX_LEVELS = 10
 FIB_MAX_N = 4_000_000  # about 0.7 s to compute and 10 s to print its 835 951 digits
 FENCE_MAX_N = 200_000  # about 1 s; the sweep's additions grow with n, so the cost is quadratic
 KONVALINA_MAX = 1000  # on k and on the weight count; 1000 weights of 2 at k = 1000 take 0.5 s
+KONVALINA_MAX_WEIGHT = 9999  # the DP's cost grows with weight size: 1000 of these at k = 1000 take 1 s
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -127,6 +128,8 @@ def _cmd_konvalina(args) -> int:
             f"got k={args.k} and {len(raw)} weights"
         )
     weights = konvalina.WeightVector(tuple(int(x) for x in raw))
+    if max(weights) > KONVALINA_MAX_WEIGHT:
+        raise ValueError(f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {max(weights)}")
     fn = konvalina.c_first_kind if args.kind == "first" else konvalina.s_second_kind
     value = fn(weights, args.k)
     if args.brute:

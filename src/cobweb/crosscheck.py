@@ -140,6 +140,11 @@ def _order_axioms(cfg: CrosscheckConfig) -> Iterator[Case]:
             for w in verts:
                 if poset.leq(v, w):
                     yield "transitive", (u, v, w), poset.leq(u, w), True
+    z = incidence.zeta_from_order(7)  # it closes the cover edges and never calls leq
+    for u in verts:
+        for v in verts:
+            want = z.entry(poset.to_linear(u), poset.to_linear(v))
+            yield "leq vs zeta_from_order", (u, v), int(poset.leq(u, v)), want
 
 
 @_check("edge-counts")

@@ -1,21 +1,21 @@
 """Exact integer incidence-algebra matrices for truncated cobweb posets.
 
-The zeta matrix is materialized two independent ways (straight from the
-order relation, and from the closed staircase formula).  The Moebius matrix
-of an ordinal sum of antichains, which every cobweb truncation is, comes from
-a recurrence on the level table; any other unitriangular matrix, and the
-oracle the level route is checked against, use exact back-substitution.
-Powers of eta = zeta - delta count strict chains.
+The zeta matrix is materialized two independent ways (closing the Hasse
+diagram's cover edges, and the closed staircase formula).  The Moebius
+matrix of an ordinal sum of antichains, which every cobweb truncation is,
+comes from a recurrence on the level table; any other unitriangular matrix,
+and the oracle the level route is checked against, use back-substitution.
+Powers of eta = zeta - delta count strict chains; products pack rows into ints.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from math import prod
-from operator import mul
+from operator import add, index, mul
 
 from .fib_core import fib
-from .poset import leq, level_size, truncate
+from .poset import level_size, truncate
 
 
 class TriangularMatrix:
@@ -24,7 +24,7 @@ class TriangularMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -63,14 +63,30 @@ class TriangularMatrix:
     # exact arithmetic ------------------------------------------------------
 
     def __mul__(self, other: "TriangularMatrix") -> "TriangularMatrix":
-        """Exact product: row i is row i of ``self`` times ``other``.
-
+        """Exact product by Kronecker substitution: each row of ``other`` is
+        packed into one int, entry j in byte slot j, wide enough for
+        n * max|self| * max|other| and a sign, and lifted by half a slot so
+        that no entry borrows.  Row i is one big-int sum of the packed rows.
         ``_back_substitute`` shares none of this code, so it stays an
         independent oracle for mu * zeta = delta.
         """
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return TriangularMatrix([_vec_mat(row, other.rows) for row in self.rows])
+        n = self.size
+        w = (n * _entry_bound(self.rows) * _entry_bound(other.rows)).bit_length() // 8 + 1
+        lift = 1 << (8 * w - 1)
+        lifts = int.from_bytes(lift.to_bytes(w, "little") * n, "little")  # a lift in every slot
+        packed = []
+        for row in other.rows:
+            cells = map(int.to_bytes, map(add, row, repeat(lift)), repeat(w), repeat("little"))
+            packed.append(int.from_bytes(b"".join(cells), "little"))
+        out = []
+        for row in self.rows:
+            coeffs = [c for c in row if c]
+            total = sum(map(mul, coeffs, compress(packed, row))) + (1 - sum(coeffs)) * lifts
+            data = total.to_bytes(n * w, "little")
+            out.append([int.from_bytes(data[j : j + w], "little") - lift for j in range(0, n * w, w)])
+        return TriangularMatrix(out)
 
     def __add__(self, other: "TriangularMatrix") -> "TriangularMatrix":
         if self.size != other.size:
@@ -109,13 +125,25 @@ class TriangularMatrix:
         return {"size": self.size, "rows": [list(row) for row in self.rows]}
 
 
+def _entry_bound(rows) -> int:
+    """Largest absolute entry, at least 1 so a zero factor still leaves room for the other."""
+    return max(max(map(max, rows), default=0), -min(map(min, rows), default=0), 1)
+
+
 def zeta_from_order(max_level: int) -> TriangularMatrix:
-    """Zeta matrix read off the order relation of the truncated poset."""
+    """Zeta matrix as the reflexive-transitive closure of the Hasse diagram.
+
+    Row i is the int bitset of the vertices reachable from i; covers lead to
+    later indices, so the rows close from the last vertex down.  Only the
+    cover edges and the linear order are read, nothing of the staircase route.
+    """
     t = truncate(max_level)
-    verts = t.vertices
-    return TriangularMatrix(
-        [[1 if leq(u, v) else 0 for v in verts] for u in verts]
-    )
+    n = t.vertex_count
+    reach = [1 << i for i in range(n)]
+    for i, j in sorted(t.edges, reverse=True):
+        reach[i] |= reach[j]
+    digits = bytes.maketrans(b"01", b"\0\1")
+    return TriangularMatrix([format(r, f"0{n}b")[::-1].encode().translate(digits) for r in reach])
 
 
 def zeta_explicit(size: int) -> TriangularMatrix:

@@ -15,6 +15,7 @@ from cobweb.cli import (
     FIB_MAX_N,
     HASSE_MAX_LEVELS,
     KONVALINA_MAX,
+    KONVALINA_MAX_WEIGHT,
     ZETA_MAX_LEVELS,
     main,
 )
@@ -443,6 +444,7 @@ PAST_BOUNDS = [
     (FENCE_MAX_N, ["fence", str(FENCE_MAX_N + 1)]),
     (KONVALINA_MAX, ["konvalina", "--weights", "2", "--k", str(KONVALINA_MAX + 1), "--kind", "second"]),
     (KONVALINA_MAX, ["konvalina", "--weights", ",".join(["2"] * (KONVALINA_MAX + 1)), "--k", "1"]),
+    (KONVALINA_MAX_WEIGHT, ["konvalina", "--weights", f"1,{KONVALINA_MAX_WEIGHT + 1}", "--k", "2"]),
     (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1)]),
     (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1), "--source", "explicit"]),
     (ZETA_MAX_LEVELS, ["mobius", "--levels", str(ZETA_MAX_LEVELS + 1)]),

@@ -1,7 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cobweb.chains import brute_force_max_chains
@@ -258,17 +259,48 @@ def naive_product(a, b):
 
 
 def upper_triangular(n):
-    # n x n matrices with entries in -3..3 on and above the diagonal
-    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    # n x n matrices on and above the diagonal: zeros, small entries and entries up to 2**200
+    entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     return rows.map(lambda m: [[x if j >= i else 0 for j, x in enumerate(r)] for i, r in enumerate(m)])
 
 
+def column_sum_pair(n, a_entry, b_entry):
+    # row 0 of a and the last column of b are full, so entry (0, n-1) of a * b is n * a_entry * b_entry
+    a = [[a_entry if i == 0 else 0 for j in range(n)] for i in range(n)]
+    b = [[b_entry if j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    return a, b
+
+
+# 2**(8w - 1) - 1 is the largest value a w-byte slot holds; 2**63 - 1 = 7 * 9271 * 142123242012031
+ON_THE_SLOT_EDGE = [column_sum_pair(7, sign * 9271, 142123242012031) for sign in (1, -1)]
+ON_THE_SLOT_EDGE += [column_sum_pair(1, sign, 2**bits - 1) for sign in (1, -1) for bits in (23, 63, 127, 255)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.tuples(upper_triangular(n), upper_triangular(n))))
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(upper_triangular(n), upper_triangular(n))))
+@example(([], []))
+@example(([[0] * 3] * 3, [[0, 2**200, -1], [0, 0, 1], [0, 0, 0]]))
+@example(column_sum_pair(1, 1, -(2**63)))
 def test_product_matches_naive_triple_loop(pair):
     a, b = pair
     got = TriangularMatrix(a) * TriangularMatrix(b)
     assert [list(row) for row in got.rows] == naive_product(a, b)
+
+
+@pytest.mark.parametrize("pair", ON_THE_SLOT_EDGE)
+def test_product_on_the_slot_edge(pair):
+    a, b = pair
+    got = (TriangularMatrix(a) * TriangularMatrix(b)).entry(0, len(a) - 1)
+    assert got == naive_product(a, b)[0][-1] and abs(got) == 2 ** (abs(got).bit_length()) - 1
+
+
+def test_matrix_entries_must_be_integers():
+    rows = TriangularMatrix([[True, False], [0, True]]).rows
+    assert rows == ((1, 0), (0, 1)) and all(type(x) is int for row in rows for x in row)
+    for bad in (2.5, "3", Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            TriangularMatrix([[1, bad], [0, 1]])
 
 
 def test_chain_count_argument_checks():

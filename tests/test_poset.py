@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from cobweb.fib_core import fib
+from cobweb.incidence import zeta_from_order
 from cobweb.poset import (
     ROOT,
     CobwebCopy,
@@ -90,6 +91,13 @@ def test_leq_is_partial_order_up_to_level_7():
         for w in verts:
             if leq(v, w):
                 assert leq(u, w)
+
+
+def test_leq_matches_the_closure_of_the_cover_edges():
+    # zeta_from_order reads only the cover edges, so it is an oracle for leq
+    z = zeta_from_order(7)
+    for u, v in product(truncate(7).vertices, repeat=2):
+        assert z.entry(to_linear(u), to_linear(v)) == leq(u, v)
 
 
 def test_covers_examples():
