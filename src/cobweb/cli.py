@@ -127,6 +127,12 @@ def _cmd_konvalina(args) -> int:
             f"konvalina is bounded by k <= {KONVALINA_MAX} and {KONVALINA_MAX} weights, "
             f"got k={args.k} and {len(raw)} weights"
         )
+    for x in raw:  # before int(), whose own digit limit would speak first
+        digits = x.strip().lstrip("+").replace("_", "").lstrip("0")
+        if digits.isdecimal() and len(digits) > len(str(KONVALINA_MAX_WEIGHT)):
+            raise ValueError(
+                f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {len(digits)} digits"
+            )
     weights = konvalina.WeightVector(tuple(int(x) for x in raw))
     if max(weights) > KONVALINA_MAX_WEIGHT:
         raise ValueError(f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {max(weights)}")
@@ -256,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError, KeyboardInterrupt) as exc:
+        print(f"error: aborted by {type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -194,6 +194,8 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
         want = incidence._back_substitute(z).rows
         yield "level and dense mu disagree", f"L={L}", m.rows, want
         ident = incidence.TriangularMatrix.identity(z.size).rows
+        dense = incidence.TriangularMatrix(m.rows) * z  # mu's rows rebuilt have no level form
+        yield "level vs Kronecker product", f"L={L}", (m * z).rows, dense.rows
         yield "mu * zeta = delta", f"L={L}", (m * z).rows, ident
         yield "zeta * mu = delta", f"L={L}", (z * m).rows, ident
 
@@ -220,18 +222,16 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
                 total += 1 if t == y else dfs_count(t, y)
         return total
 
-    e = incidence.eta(z)
-    acc = e - e
-    p = e
-    for _ in range(max(L, 1)):
-        acc = acc + p
-        p = p * e
+    lengths = range(1, max(L, 1) + 1)
+    powers = [incidence.eta(z).power(t) for t in lengths]
     for x in range(n):
         for y in range(x + 1, n):
             want = dfs_count(x, y)
-            yield "eta power sum", (x, y), acc.entry(x, y), want
-            got = sum(incidence.chain_count(z, x, y, t) for t in range(1, max(L, 1) + 1))
-            yield "chain_count totals", (x, y), got, want
+            yield "eta power sum", (x, y), sum(p.entry(x, y) for p in powers), want
+            counts = [incidence.chain_count(z, x, y, t) for t in lengths]
+            yield "chain_count totals", (x, y), sum(counts), want
+            dense = [incidence._vec_mat_chains(z.rows, x, y, t) for t in lengths]
+            yield "level vs dense chain_count", (x, y), counts, dense
 
 
 # --- chain interpretation -------------------------------------------------------

@@ -1,16 +1,19 @@
 """Exact integer incidence-algebra matrices for truncated cobweb posets.
 
 The zeta matrix is materialized two independent ways (closing the Hasse
-diagram's cover edges, and the closed staircase formula).  The Moebius
-matrix of an ordinal sum of antichains, which every cobweb truncation is,
-comes from a recurrence on the level table; any other unitriangular matrix,
-and the oracle the level route is checked against, use back-substitution.
-Powers of eta = zeta - delta count strict chains; products pack rows into ints.
+diagram's cover edges, and the closed staircase formula).  A truncation is
+an ordinal sum of antichains, so zeta, mu, eta and their products have a
+level form, a table over pairs of blocks, on which inverses, products, chain
+counts and text export take O(L^3) or less.  Other matrices use the dense
+kernels (back-substitution, products that pack rows into ints, vector
+steps), which stay the oracles for the level routes.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from bisect import bisect_right
+from functools import reduce
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add, index, mul
 
@@ -19,12 +22,15 @@ from .poset import level_size, truncate
 
 
 class TriangularMatrix:
-    """Immutable square integer matrix with nothing below the diagonal."""
+    """Immutable square integer matrix with nothing below the diagonal.
 
-    __slots__ = ("rows",)
+    An ordinal sum of blocks has a level form ``(ends, diag, table)``: block ends,
+    the diagonal, and table[b][c] for c > b, every entry from block b to block c."""
+
+    __slots__ = ("rows", "_levels")
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(map(index, row)) for row in rows)
+        rows = tuple(tuple(row) if isinstance(row, bytes) else tuple(map(index, row)) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -34,6 +40,12 @@ class TriangularMatrix:
         object.__setattr__(self, "rows", rows)
 
     # construction helpers -------------------------------------------------
+
+    @classmethod
+    def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
+        m = cls(_staircase(ends, diag, table))
+        object.__setattr__(m, "_levels", (ends, diag, table))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "TriangularMatrix":
@@ -57,21 +69,32 @@ class TriangularMatrix:
     def __setattr__(self, name, value) -> None:
         raise AttributeError("TriangularMatrix is immutable")
 
+    def level_form(self):
+        """``(ends, diag, table)`` or None; a dense matrix is compared once with a staircase."""
+        if getattr(self, "_levels", None) is None:  # not looked for yet
+            object.__setattr__(self, "_levels", _zeta_levels(self.rows) or False)
+        return self._levels or None
+
     def is_unitriangular(self) -> bool:
         return all(self.rows[i][i] == 1 for i in range(self.size))
 
     # exact arithmetic ------------------------------------------------------
 
     def __mul__(self, other: "TriangularMatrix") -> "TriangularMatrix":
-        """Exact product by Kronecker substitution: each row of ``other`` is
-        packed into one int, entry j in byte slot j, wide enough for
-        n * max|self| * max|other| and a sign, and lifted by half a slot so
-        that no entry borrows.  Row i is one big-int sum of the packed rows.
-        ``_back_substitute`` shares none of this code, so it stays an
-        independent oracle for mu * zeta = delta.
+        """Exact product: of the tables if both level forms have the same blocks,
+        else by Kronecker substitution: each row of ``other`` is packed into one
+        int, entry j in byte slot j, wide enough for n * max|self| * max|other|
+        and a sign, and lifted by half a slot so that no entry borrows.  Row i
+        is one big-int sum of the packed rows.  This shares no code with the
+        tables or ``_back_substitute``, so it is an oracle for both.
         """
         if self.size != other.size:
             raise ValueError("size mismatch")
+        a, b = self.level_form(), other.level_form()
+        if a and b and a[0] == b[0]:
+            sizes = _sizes(a[0])
+            table = tuple(_level_row(sizes, r, a[1], row, b[1], b[2]) for r, row in enumerate(a[2]))
+            return TriangularMatrix._from_levels(a[0], a[1] * b[1], table)
         n = self.size
         w = (n * _entry_bound(self.rows) * _entry_bound(other.rows)).bit_length() // 8 + 1
         lift = 1 << (8 * w - 1)
@@ -105,10 +128,8 @@ class TriangularMatrix:
     def power(self, t: int) -> "TriangularMatrix":
         if t < 0:
             raise ValueError(f"power expects t >= 0, got {t}")
-        out = TriangularMatrix.identity(self.size)
-        for _ in range(t):
-            out = out * self
-        return out
+        # from self, not the identity, whose one block would miss self's level form
+        return reduce(mul, repeat(self, t - 1), self) if t else TriangularMatrix.identity(self.size)
 
     def is_zero(self) -> bool:
         return all(not any(row) for row in self.rows)
@@ -116,10 +137,24 @@ class TriangularMatrix:
     # export -----------------------------------------------------------------
 
     def to_dense_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows) + "\n"
+        return self._text(" ")
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.rows) + "\n"
+        return self._text(",")
+
+    def _text(self, sep: str) -> str:
+        form = self.level_form()
+        if form is None:
+            return "\n".join(sep.join(map(str, row)) for row in self.rows) + "\n"
+        ends, diag, table = form
+        sizes = _sizes(ends)
+        tails = [  # one string per block, behind each row's zeros and diagonal
+            "".join((sep + str(v)) * s for v, s in zip(table[b][b + 1 :], sizes[b + 1 :]))
+            for b in range(len(ends))
+        ]
+        lines = [("0" + sep) * i + str(diag) + (sep + "0") * (end - i - 1) + tail
+                 for end, size, tail in zip(ends, sizes, tails) for i in range(end - size, end)]
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "rows": [list(row) for row in self.rows]}
@@ -161,64 +196,70 @@ def zeta_explicit(size: int) -> TriangularMatrix:
     ends: list[int] = []
     while not ends or ends[-1] < size:
         ends.append(min(fib(len(ends) + 2), size))  # level s ends before index F_{s+2}
-    return TriangularMatrix(_staircase(ends, [(1,) * (size - end) for end in ends]))
+    return TriangularMatrix._from_levels(tuple(ends), 1, ((1,) * len(ends),) * len(ends))
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
     """Exact inverse of a unitriangular matrix.
 
-    When ``z`` is the zeta matrix of an ordinal sum of antichains (every
-    cobweb truncation is one), mu between distinct vertices depends only on
-    their blocks and comes from the level recurrence
-    mu(b, c) = -(1 + sum_{b<l<c} |B_l| mu(b, l)).  Any other matrix falls
-    back to back-substitution, which is also the oracle for the level route.
+    On a level form with diagonal 1 (every cobweb zeta matrix has one), mu
+    has one on the same blocks: mu(b, c) = -(zeta(b, c) + sum_{b<l<c} |B_l|
+    mu(b, l) zeta(l, c)).  Any other matrix falls back to back-substitution,
+    which is also the oracle for the level route.
     """
-    ends = _antichain_block_ends(z.rows)
-    if ends is None:
+    form = z.level_form()
+    if form is None or form[1] != 1:
         return _back_substitute(z)
-    sizes = [end - start for start, end in zip([0, *ends], ends)]
-    tails = []
-    for b in range(len(sizes)):
-        # mu(b, c) for every later block c, each repeated |B_c| times
-        tail: list[int] = []
-        partial = 1  # 1 + sum over the blocks l passed so far of |B_l| mu(b, l)
-        for size in sizes[b + 1 :]:
-            mu = -partial
-            tail += [mu] * size
-            partial += size * mu
-        tails.append(tuple(tail))
-    return TriangularMatrix(_staircase(ends, tails))
+    ends, _, zt = form
+    sizes = _sizes(ends)
+    mu = [[0] * len(ends) for _ in ends]
+    for b in range(len(ends)):
+        for c in range(b + 1, len(ends)):
+            mu[b][c] = -(zt[b][c] + sum(sizes[l] * mu[b][l] * zt[l][c] for l in range(b + 1, c)))
+    return TriangularMatrix._from_levels(ends, 1, tuple(map(tuple, mu)))
 
 
-def _antichain_block_ends(rows: tuple[tuple[int, ...], ...]) -> list[int] | None:
-    """End indices of the blocks if ``rows`` is the zeta matrix of an ordinal
-    sum of antichains, else None: each block ends at the first one right of
-    its first row's diagonal, and the whole matrix must be that staircase.
-    """
+def _zeta_levels(rows: tuple[tuple[int, ...], ...]):
+    """Level form of ``rows`` if they are the zeta matrix of an ordinal sum of
+    antichains or its eta (diagonal 0), else None: each block ends at the first
+    one right of its first row's diagonal, and all rows must be that staircase."""
     n = len(rows)
     ends = []
     start = 0
     while start < n:  # a sentinel one at index n ends the last block
         start = (rows[start] + (1,)).index(1, start + 1)
         ends.append(start)
-    if list(rows) != _staircase(ends, [(1,) * (n - end) for end in ends]):
+    form = (tuple(ends), rows[0][0] if n else 1, ((1,) * len(ends),) * len(ends))
+    try:  # zeta's and eta's staircase rows are bytes
+        return form if list(map(bytes, rows)) == _staircase(*form) else None
+    except ValueError:  # an entry outside 0..255
         return None
-    return ends
 
 
-def _staircase(ends: list[int], tails: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Rows of an ordinal sum of blocks ending at ``ends``.
+def _sizes(ends) -> list[int]:
+    return [end - start for start, end in zip((0, *ends), ends)]
 
-    Row i of block b reads the diagonal one, zeros up to the block end,
-    then ``tails[b]``, which holds the entries of every later block.
-    """
-    zeros = (0,) * (ends[-1] if ends else 0)
+
+def _staircase(ends, diag: int, table) -> list:
+    """Rows of the level form ``(ends, diag, table)``: row i of block b reads
+    ``diag`` at i, zeros to the block end, then table[b][c] across each block c > b."""
+    sizes = _sizes(ends)
+    seq = bytes if all(0 <= v < 256 for v in chain((diag,), *table)) else tuple  # cheap to init
     rows = []
-    start = 0
-    for end, tail in zip(ends, tails):
-        rows.extend(zeros[:i] + (1,) + zeros[: end - i - 1] + tail for i in range(start, end))
-        start = end
+    for b, (end, size) in enumerate(zip(ends, sizes)):
+        tail = seq(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
+        window = seq((0,) * (end - 1) + (diag,) + (0,) * (size - 1))  # row k starts at size-1-k
+        rows.extend(window[size - 1 - k : size - 1 - k + end] + tail for k in range(size))
     return rows
+
+
+def _level_row(sizes, b: int, da: int, row, db: int, tb) -> tuple[int, ...]:
+    """Table row b of A * B from A's diagonal ``da`` and table row ``row`` and B's (``db``, ``tb``):
+    P(b, c) = da B(b, c) + A(b, c) db + sum_{b<l<c} |B_l| A(b, l) B(l, c)."""
+    return (0,) * (b + 1) + tuple(
+        da * tb[b][c] + row[c] * db + sum(sizes[l] * row[l] * tb[l][c] for l in range(b + 1, c))
+        for c in range(b + 1, len(sizes))
+    )
 
 
 def _back_substitute(z: TriangularMatrix) -> TriangularMatrix:
@@ -252,27 +293,36 @@ def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
     """Number of strict chains x = z_0 < z_1 < ... < z_length = y.
 
     Entry (x, y) of eta^length with eta = zeta - delta.  Only row x is
-    carried: it starts as row x of eta and is stepped by v <- v*zeta - v,
-    so eta itself is never built.  ``_back_substitute`` does not use this
-    product and stays the independent oracle.
+    carried, so eta is never built: on a level form it is the table row of
+    x's block, stepped in O(L^2); otherwise ``_vec_mat_chains`` steps it.
     """
     n = z.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"indices must be in 0..{n - 1}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    vec = list(z.rows[x])
+    form = z.level_form()
+    if form is None:
+        return _vec_mat_chains(z.rows, x, y, length)
+    ends, diag, table = form
+    sizes = _sizes(ends)
+    b, c = bisect_right(ends, x), bisect_right(ends, y)
+    d, row = diag - 1, table[b]  # row x of eta: d at x, then the table row of its block
+    for _ in range(length - 1):
+        d, row = d * (diag - 1), _level_row(sizes, b, d, row, diag - 1, table)
+    return d if x == y else row[c] if b < c else 0
+
+
+def _vec_mat_chains(rows, x: int, y: int, length: int) -> int:
+    """Dense ``chain_count``: row x of eta stepped by v <- v*zeta - v, summing
+    only the rows with a nonzero coefficient."""
+    vec = list(rows[x])
     vec[x] -= 1
     for _ in range(length - 1):
-        vec = [a - b for a, b in zip(_vec_mat(vec, z.rows), vec)]
+        coeffs = [c for c in vec if c]
+        cols = zip(*compress(rows, vec))
+        vec = [sum(map(mul, coeffs, col)) - v for col, v in zip(cols, vec)] or [0] * len(vec)
     return vec[y]
-
-
-def _vec_mat(vec, rows) -> list[int]:
-    """Row vector times matrix, summing only the rows with a nonzero coefficient."""
-    coeffs = [c for c in vec if c]
-    cols = zip(*compress(rows, vec))
-    return [sum(map(mul, coeffs, col)) for col in cols] or [0] * len(rows[0])
 
 
 def maximal_chain_matrix(max_level: int, from_level: int, to_level: int) -> list[list[int]]:

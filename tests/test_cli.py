@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobweb import chains, crosscheck, fib_core
+from cobweb import chains, cli, crosscheck, fib_core
 from cobweb.chains import fibonomial_via_chains
 from cobweb.cli import (
     FENCE_MAX_N,
@@ -254,16 +254,36 @@ MATRIX_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("cmd, fmt", sorted(MATRIX_OUTPUT_SHA256))
-def test_matrix_output_bytes_unchanged(capsys, cmd, fmt):
+# the same for L = 9..12, recorded before export rendered from the level tables
+LARGE_MATRIX_OUTPUT_SHA256 = {
+    ("zeta", "dense"): "a15ee75a93f1e97a2f885f0be73041e9043f27a0c97d4f089cc52cbce67a0a09",
+    ("zeta", "csv"): "e8f3c1ee4f1770b7ec92f6bd8fbf1e0aaf68721585ab950b260ed1bc1fa71f8a",
+    ("zeta", "json"): "462ab12a0c9936037fc8f880d682826d8b3943e2f67fb8eba38c2408d4d918b7",
+    ("mobius", "dense"): "c79c4f4026446b55c90f2027ca00d7b7d57354d2b03cb6e6bec73afa41071abf",
+    ("mobius", "csv"): "b2c86c9f008950e9787f30ba3498ee2eeacc6004fda48efa048a0b3d969fbf4f",
+    ("mobius", "json"): "300a8aee43acadd134b15493449aedd3042c849d292b2b4fa2fe94bf31cf1659",
+}
+
+
+def assert_matrix_output_digest(capsys, cmd, fmt, levels, digest):
     # zeta from the closed staircase must print the bytes of zeta read off the order
     for source in (["order", "explicit"] if cmd == "zeta" else [None]):
         h = hashlib.sha256()
-        for L in range(9):
+        for L in levels:
             argv = [cmd, "--levels", str(L), "--format", fmt]
             assert main(argv + (["--source", source] if source else [])) == 0
             h.update(capsys.readouterr().out.encode())
-        assert h.hexdigest() == MATRIX_OUTPUT_SHA256[cmd, fmt]
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd, fmt", sorted(MATRIX_OUTPUT_SHA256))
+def test_matrix_output_bytes_unchanged(capsys, cmd, fmt):
+    assert_matrix_output_digest(capsys, cmd, fmt, range(9), MATRIX_OUTPUT_SHA256[cmd, fmt])
+
+
+@pytest.mark.parametrize("cmd, fmt", sorted(LARGE_MATRIX_OUTPUT_SHA256))
+def test_large_matrix_output_bytes_unchanged(capsys, cmd, fmt):
+    assert_matrix_output_digest(capsys, cmd, fmt, range(9, 13), LARGE_MATRIX_OUTPUT_SHA256[cmd, fmt])
 
 
 def unlimited_str(value):
@@ -445,6 +465,8 @@ PAST_BOUNDS = [
     (KONVALINA_MAX, ["konvalina", "--weights", "2", "--k", str(KONVALINA_MAX + 1), "--kind", "second"]),
     (KONVALINA_MAX, ["konvalina", "--weights", ",".join(["2"] * (KONVALINA_MAX + 1)), "--k", "1"]),
     (KONVALINA_MAX_WEIGHT, ["konvalina", "--weights", f"1,{KONVALINA_MAX_WEIGHT + 1}", "--k", "2"]),
+    # a weight past int()'s own digit limit
+    (KONVALINA_MAX_WEIGHT, ["konvalina", "--weights", "1," + "9" * 5000, "--k", "1"]),
     (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1)]),
     (ZETA_MAX_LEVELS, ["zeta", "--levels", str(ZETA_MAX_LEVELS + 1), "--source", "explicit"]),
     (ZETA_MAX_LEVELS, ["mobius", "--levels", str(ZETA_MAX_LEVELS + 1)]),
@@ -473,3 +495,15 @@ def test_cli_contract_past_a_bound_is_a_usage_error(bound, argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and str(bound) in proc.stderr
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyboardInterrupt])
+def test_aborts_are_one_line_and_exit_1(capsys, monkeypatch, exc):
+    def abort(args):
+        raise exc("deep inside")
+
+    monkeypatch.setattr(cli, "_cmd_fib", abort)
+    assert main(["fib", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: aborted by {exc.__name__}\n"

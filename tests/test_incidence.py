@@ -9,8 +9,8 @@ from cobweb.chains import brute_force_max_chains
 from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
-    _antichain_block_ends,
     _back_substitute,
+    _vec_mat_chains,
     chain_count,
     eta,
     maximal_chain_matrix,
@@ -91,6 +91,8 @@ def test_zeta_explicit_examples():
 def test_zeta_routes_agree():
     for L in range(11):
         assert zeta_from_order(L) == zeta_explicit(fib(L + 2))
+        # the closure's zeta finds by comparison the level form the staircase was built from
+        assert zeta_from_order(L).level_form() == zeta_explicit(fib(L + 2)).level_form()
 
 
 def test_zeta_explicit_is_the_leading_block_at_every_size():
@@ -169,8 +171,8 @@ def assert_exact_inverse(z, m):
 @given(block_sizes)
 def test_mobius_level_route_matches_back_substitution(sizes):
     z = TriangularMatrix(ordinal_sum_zeta(sizes))
-    ends = _antichain_block_ends(z.rows)
-    assert ends == [sum(sizes[: b + 1]) for b in range(len(sizes))]
+    ends, diag, _ = z.level_form()
+    assert ends == tuple(sum(sizes[: b + 1]) for b in range(len(sizes))) and diag == 1
     m = mobius(z)
     assert m == _back_substitute(z)
     assert_exact_inverse(z, m)
@@ -190,7 +192,7 @@ def test_mobius_falls_back_when_one_relation_is_missing(sizes, data):
     assume(not (c == b + 1 and sizes[b] == sizes[c] == 1))
     rows[i][j] = 0
     z = TriangularMatrix(rows)
-    assert _antichain_block_ends(z.rows) is None
+    assert z.level_form() is None
     m = mobius(z)
     assert m == _back_substitute(z)
     assert_exact_inverse(z, m)
@@ -208,7 +210,7 @@ def test_mobius_inverts_general_unitriangular_matrices(case):
     z = TriangularMatrix(
         [[1 if i == j else next(entries) if j > i else 0 for j in range(n)] for i in range(n)]
     )
-    assert _antichain_block_ends(z.rows) is None
+    assert z.level_form() is None
     m = mobius(z)
     assert m == _back_substitute(z)
     assert_exact_inverse(z, m)
@@ -328,6 +330,7 @@ def test_eta_powers_count_all_strict_chains():
 def test_eta_nilpotency():
     for L in range(8):
         e = eta(zeta_from_order(L))
+        assert e.level_form()[1] == 0
         assert e.power(L + 1).is_zero()
         if L >= 1:
             assert not e.power(L).is_zero()
@@ -389,3 +392,46 @@ def test_order_route_uses_the_order_itself():
     for i, u in enumerate(t.vertices):
         for j, v in enumerate(t.vertices):
             assert z.entry(i, j) == (1 if leq(u, v) else 0)
+
+
+def level_tables(blocks):
+    # table[b][c] for blocks b < c, drawn from -3..3 and +-2**200
+    entries = st.one_of(st.integers(-3, 3), st.sampled_from([2**200, -(2**200)]))
+    row = st.lists(entries, min_size=blocks, max_size=blocks)
+    rows = st.lists(row, min_size=blocks, max_size=blocks)
+    return rows.map(lambda t: tuple(tuple(x * (c > b) for c, x in enumerate(r)) for b, r in enumerate(t)))
+
+
+# random ordinal sums of 1-6 blocks of 1-5 vertices, with two tables on their blocks
+ordinal_sums = st.lists(st.integers(1, 5), min_size=1, max_size=6).flatmap(
+    lambda sizes: st.tuples(
+        st.just(tuple(sum(sizes[: b + 1]) for b in range(len(sizes)))),
+        level_tables(len(sizes)),
+        level_tables(len(sizes)),
+    )
+)
+
+
+def generic_join(rows, sep):
+    return "\n".join(sep.join(str(x) for x in row) for row in rows) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordinal_sums, st.integers(-2, 2), st.integers(-2, 2))
+def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
+    ends, ta, tb = case
+    a = TriangularMatrix._from_levels(ends, da, ta)
+    b = TriangularMatrix._from_levels(ends, db, tb)
+    product = a * b
+    assert product.level_form()[0] == ends
+    # rows rebuilt without a table: the Kronecker product, unless both happen to be zeta-shaped
+    assert product == TriangularMatrix(a.rows) * TriangularMatrix(b.rows)
+    assert [list(row) for row in product.rows] == naive_product(a.rows, b.rows)
+    u = TriangularMatrix._from_levels(ends, 1, ta)
+    assert mobius(u) == _back_substitute(u)
+    for x in range(a.size):
+        for y in range(a.size):
+            for t in (1, 3):
+                assert chain_count(a, x, y, t) == _vec_mat_chains(a.rows, x, y, t)
+    assert a.to_dense_text() == generic_join(a.rows, " ")
+    assert a.to_csv() == generic_join(a.rows, ",")
