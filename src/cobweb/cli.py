@@ -2,13 +2,14 @@
 
 Subcommands expose every computation in the library; numbers are always
 printed as decimal strings so big values stay exact in text.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+0 success, 1 check failure (or a stdout closed by its reader), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import chains, crosscheck, fib_core, incidence, konvalina, paths_fences, poset
@@ -33,10 +34,6 @@ def _emit(text: str, out: str | None) -> int:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _cmd_fib(args) -> int:
@@ -74,11 +71,7 @@ def _cmd_fibonomial(args) -> int:
 
 
 def _matrix_text(m: incidence.TriangularMatrix, fmt: str) -> str:
-    if fmt == "dense":
-        return m.to_dense_text()
-    if fmt == "csv":
-        return m.to_csv()
-    return _json_text({"schema": 1, **m.to_json_dict()})
+    return {"dense": m.to_dense_text, "csv": m.to_csv, "json": m.to_json_text}[fmt]()
 
 
 def _levels(args, cap: int) -> int:
@@ -104,7 +97,7 @@ def _cmd_mobius(args) -> int:
 def _cmd_chains(args) -> int:
     report = chains.chain_count_report(args.k, args.n)
     if args.format == "json":
-        text = _json_text({"schema": 1, **report.to_json_dict()})
+        text = json.dumps({"schema": 1, **report.to_json_dict()}, indent=2) + "\n"
     else:
         fibo = chains.fibonomial_via_chains(args.n, args.k)
         text = (
@@ -256,7 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's final flush
+        return rc
+    except BrokenPipeError:  # the reader closed stdout: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # where that flush now goes
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,8 +43,12 @@ class TriangularMatrix:
 
     @classmethod
     def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
-        m = cls(_staircase(ends, diag, table))
-        object.__setattr__(m, "_levels", (ends, diag, table))
+        """Trusted path for library-built level forms: the O(L^2) table is coerced once, and
+        the staircase rows, square and upper triangular by construction, skip ``__init__``."""
+        form = (tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table))
+        m = cls.__new__(cls)
+        object.__setattr__(m, "rows", tuple(_staircase(*form)))
+        object.__setattr__(m, "_levels", form)
         return m
 
     @classmethod
@@ -111,13 +115,6 @@ class TriangularMatrix:
             out.append([int.from_bytes(data[j : j + w], "little") - lift for j in range(0, n * w, w)])
         return TriangularMatrix(out)
 
-    def __add__(self, other: "TriangularMatrix") -> "TriangularMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return TriangularMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __sub__(self, other: "TriangularMatrix") -> "TriangularMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
@@ -137,24 +134,29 @@ class TriangularMatrix:
     # export -----------------------------------------------------------------
 
     def to_dense_text(self) -> str:
-        return self._text(" ")
+        return "\n".join(self._lines(" ")) + "\n"
 
     def to_csv(self) -> str:
-        return self._text(",")
+        return "\n".join(self._lines(",")) + "\n"
 
-    def _text(self, sep: str) -> str:
+    def to_json_text(self) -> str:
+        """``json.dumps({"schema": 1, **self.to_json_dict()}, indent=2) + "\\n"``, one entry a line."""
+        rows = ",\n".join(f"    [\n      {line}\n    ]" for line in self._lines(",\n      "))
+        rows = f"[\n{rows}\n  ]" if rows else "[]"
+        return f'{{\n  "schema": 1,\n  "size": {self.size},\n  "rows": {rows}\n}}\n'
+
+    def _lines(self, sep: str) -> list[str]:
         form = self.level_form()
         if form is None:
-            return "\n".join(sep.join(map(str, row)) for row in self.rows) + "\n"
+            return [sep.join(map(str, row)) for row in self.rows]
         ends, diag, table = form
         sizes = _sizes(ends)
         tails = [  # one string per block, behind each row's zeros and diagonal
             "".join((sep + str(v)) * s for v, s in zip(table[b][b + 1 :], sizes[b + 1 :]))
             for b in range(len(ends))
         ]
-        lines = [("0" + sep) * i + str(diag) + (sep + "0") * (end - i - 1) + tail
-                 for end, size, tail in zip(ends, sizes, tails) for i in range(end - size, end)]
-        return "\n".join(lines) + "\n"
+        return [("0" + sep) * i + str(diag) + (sep + "0") * (end - i - 1) + tail
+                for end, size, tail in zip(ends, sizes, tails) for i in range(end - size, end)]
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "rows": [list(row) for row in self.rows]}
@@ -196,7 +198,7 @@ def zeta_explicit(size: int) -> TriangularMatrix:
     ends: list[int] = []
     while not ends or ends[-1] < size:
         ends.append(min(fib(len(ends) + 2), size))  # level s ends before index F_{s+2}
-    return TriangularMatrix._from_levels(tuple(ends), 1, ((1,) * len(ends),) * len(ends))
+    return TriangularMatrix._from_levels(ends, 1, ((1,) * len(ends),) * len(ends))
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
@@ -216,7 +218,7 @@ def mobius(z: TriangularMatrix) -> TriangularMatrix:
     for b in range(len(ends)):
         for c in range(b + 1, len(ends)):
             mu[b][c] = -(zt[b][c] + sum(sizes[l] * mu[b][l] * zt[l][c] for l in range(b + 1, c)))
-    return TriangularMatrix._from_levels(ends, 1, tuple(map(tuple, mu)))
+    return TriangularMatrix._from_levels(ends, 1, mu)
 
 
 def _zeta_levels(rows: tuple[tuple[int, ...], ...]):
@@ -230,10 +232,7 @@ def _zeta_levels(rows: tuple[tuple[int, ...], ...]):
         start = (rows[start] + (1,)).index(1, start + 1)
         ends.append(start)
     form = (tuple(ends), rows[0][0] if n else 1, ((1,) * len(ends),) * len(ends))
-    try:  # zeta's and eta's staircase rows are bytes
-        return form if list(map(bytes, rows)) == _staircase(*form) else None
-    except ValueError:  # an entry outside 0..255
-        return None
+    return form if list(rows) == _staircase(*form) else None
 
 
 def _sizes(ends) -> list[int]:
@@ -244,11 +243,10 @@ def _staircase(ends, diag: int, table) -> list:
     """Rows of the level form ``(ends, diag, table)``: row i of block b reads
     ``diag`` at i, zeros to the block end, then table[b][c] across each block c > b."""
     sizes = _sizes(ends)
-    seq = bytes if all(0 <= v < 256 for v in chain((diag,), *table)) else tuple  # cheap to init
     rows = []
     for b, (end, size) in enumerate(zip(ends, sizes)):
-        tail = seq(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
-        window = seq((0,) * (end - 1) + (diag,) + (0,) * (size - 1))  # row k starts at size-1-k
+        tail = tuple(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
+        window = (0,) * (end - 1) + (diag,) + (0,) * (size - 1)  # row k starts at size-1-k
         rows.extend(window[size - 1 - k : size - 1 - k + end] + tail for k in range(size))
     return rows
 

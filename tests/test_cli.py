@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobweb import chains, cli, crosscheck, fib_core
+from cobweb import chains, cli, crosscheck, fib_core, incidence
 from cobweb.chains import fibonomial_via_chains
 from cobweb.cli import (
     FENCE_MAX_N,
@@ -141,6 +141,26 @@ def test_hasse_writes_dot(tmp_path, capsys):
 def test_hasse_level_bound_and_io_error(tmp_path):
     assert main(["hasse", "--levels", "11", "--out", str(tmp_path / "x.dot")]) == 2
     assert main(["hasse", "--levels", "3", "--out", str(tmp_path / "no-dir" / "x.dot")]) == 1
+
+
+# crosscheck writes row by row, and the reader closes the pipe after the first; `fib` buffers
+# its one line, and the reader closes the pipe before it is flushed
+@pytest.mark.parametrize(
+    "argv, unbuffered, lines", [(["crosscheck"], True, 1), (["fib", "10"], False, 0)], ids=["rows", "buffered"]
+)
+def test_closed_stdout_is_a_quiet_exit_1(argv, unbuffered, lines):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "cobweb", *argv]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert all(line.startswith(b"PASS  ") for line in head)
+    assert err == b""
 
 
 def test_usage_error_exit_code_via_subprocess():
@@ -284,6 +304,16 @@ def test_matrix_output_bytes_unchanged(capsys, cmd, fmt):
 @pytest.mark.parametrize("cmd, fmt", sorted(LARGE_MATRIX_OUTPUT_SHA256))
 def test_large_matrix_output_bytes_unchanged(capsys, cmd, fmt):
     assert_matrix_output_digest(capsys, cmd, fmt, range(9, 13), LARGE_MATRIX_OUTPUT_SHA256[cmd, fmt])
+
+
+@pytest.mark.parametrize("cmd", ["zeta", "mobius"])
+def test_matrix_json_matches_json_dumps(capsys, cmd):
+    # the level-form JSON renderer against the generic encoder, at every allowed level
+    for L in range(ZETA_MAX_LEVELS + 1):
+        assert main([cmd, "--levels", str(L), "--format", "json"]) == 0
+        z = incidence.zeta_from_order(L)
+        doc = {"schema": 1, **(z if cmd == "zeta" else incidence.mobius(z)).to_json_dict()}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def unlimited_str(value):

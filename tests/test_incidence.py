@@ -10,6 +10,7 @@ from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
     _back_substitute,
+    _staircase,
     _vec_mat_chains,
     chain_count,
     eta,
@@ -65,7 +66,8 @@ def test_matrix_arithmetic():
     b = TriangularMatrix([[1, 3], [0, 1]])
     assert (a * b).rows == ((1, 5), (0, 1))
     assert (a - b).rows == ((0, -1), (0, 0))
-    assert (a + b).rows == ((2, 5), (0, 2))
+    with pytest.raises(TypeError):  # no sum: nothing in the library adds matrices
+        a + b
     assert a.power(0) == TriangularMatrix.identity(2)
     assert a.power(3).rows == ((1, 6), (0, 1))
 
@@ -317,14 +319,12 @@ def test_eta_powers_count_all_strict_chains():
     for L in range(7):
         z = zeta_from_order(L)
         e = eta(z)
-        totals = e - e
-        p = e
-        for _ in range(max(L, 1)):
-            totals = totals + p
-            p = p * e
+        powers = [e]
+        for _ in range(max(L, 1) - 1):
+            powers.append(powers[-1] * e)
         for x in range(z.size):
             for y in range(x + 1, z.size):
-                assert totals.entry(x, y) == dfs_strict_chains(z, x, y)
+                assert sum(p.entry(x, y) for p in powers) == dfs_strict_chains(z, x, y)
 
 
 def test_eta_nilpotency():
@@ -395,8 +395,8 @@ def test_order_route_uses_the_order_itself():
 
 
 def level_tables(blocks):
-    # table[b][c] for blocks b < c, drawn from -3..3 and +-2**200
-    entries = st.one_of(st.integers(-3, 3), st.sampled_from([2**200, -(2**200)]))
+    # table[b][c] for blocks b < c, drawn from -3..3, multi-digit values and +-2**200
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6), st.sampled_from([2**200, -(2**200)]))
     row = st.lists(entries, min_size=blocks, max_size=blocks)
     rows = st.lists(row, min_size=blocks, max_size=blocks)
     return rows.map(lambda t: tuple(tuple(x * (c > b) for c, x in enumerate(r)) for b, r in enumerate(t)))
@@ -414,6 +414,11 @@ ordinal_sums = st.lists(st.integers(1, 5), min_size=1, max_size=6).flatmap(
 
 def generic_join(rows, sep):
     return "\n".join(sep.join(str(x) for x in row) for row in rows) + "\n"
+
+
+def json_dumps_text(m):
+    # oracle: the CLI's JSON document as json.dumps writes it
+    return json.dumps({"schema": 1, **m.to_json_dict()}, indent=2) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
@@ -435,3 +440,46 @@ def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
                 assert chain_count(a, x, y, t) == _vec_mat_chains(a.rows, x, y, t)
     assert a.to_dense_text() == generic_join(a.rows, " ")
     assert a.to_csv() == generic_join(a.rows, ",")
+    assert a.to_json_text() == json_dumps_text(a)
+
+
+@given(ordinal_sums, st.integers(-2, 2))
+@example(((1, 3), ((False, True), (False, False)), None), True)  # bools are stored as the ints 0 and 1
+def test_trusted_level_rows_match_the_validating_constructor(case, diag):
+    ends, table, _ = case
+    m = TriangularMatrix._from_levels(ends, diag, table)
+    assert m.rows == TriangularMatrix(_staircase(ends, diag, table)).rows
+    assert m.level_form() == (ends, diag, table)
+    # every entry read off the table by the blocks of its row and column
+    block = [sum(end <= i for end in ends) for i in range(ends[-1])]
+    want = [[diag if i == j else table[b][c] if b < c else 0 for j, c in enumerate(block)]
+            for i, b in enumerate(block)]
+    assert [list(row) for row in m.rows] == want
+    assert all(type(x) is int for row in m.rows for x in row)
+
+
+@given(st.integers(2, 6).flatmap(upper_triangular), st.data())
+def test_public_constructor_checks_every_entry(rows, data):
+    n = len(rows)
+    assert TriangularMatrix(rows).rows == tuple(map(tuple, rows))
+    for cut in (rows[:-1], [row[:-1] for row in rows]):
+        with pytest.raises(ValueError, match="square"):
+            TriangularMatrix(cut)
+    i = data.draw(st.integers(1, n - 1))
+    below = [list(row) for row in rows]
+    below[i][data.draw(st.integers(0, i - 1))] = data.draw(st.integers(1, 9) | st.integers(-9, -1))
+    with pytest.raises(ValueError, match="below the diagonal"):
+        TriangularMatrix(below)
+    bad = [list(row) for row in rows]
+    bad[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = data.draw(
+        st.sampled_from([2.5, "3", Fraction(1, 2), None])
+    )
+    with pytest.raises(TypeError):
+        TriangularMatrix(bad)
+
+
+@given(st.integers(0, 8).flatmap(upper_triangular))
+@example([])
+def test_json_text_matches_json_dumps(rows):
+    m = TriangularMatrix(rows)
+    assert m.to_json_text() == json_dumps_text(m)

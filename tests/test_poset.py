@@ -1,9 +1,10 @@
 import json
 import math
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
+from cobweb import poset
 from cobweb.fib_core import fib
 from cobweb.incidence import zeta_from_order
 from cobweb.poset import (
@@ -144,6 +145,25 @@ def test_truncate_edges_match_per_vertex_construction():
             for q in range(1, level_size(s + 1) + 1)
         ]
         assert truncate(L).edges == tuple(want)
+
+
+def test_truncations_share_their_edge_blocks(monkeypatch):
+    top = poset._EDGE_CAP + 1
+    for levels in (range(top, -1, -1), range(top + 1)):
+        monkeypatch.setattr(poset, "_EDGE_BLOCKS", [])  # an empty table for each order
+        for L in levels:
+            first = [to_linear(Vertex(s, 1)) for s in range(L + 2)]  # first index of each level
+            want = chain.from_iterable(
+                product(range(first[s], first[s + 1]), range(first[s + 1], first[s + 2])) for s in range(L)
+            )
+            assert truncate(L).edges == tuple(want)
+            assert len(poset._EDGE_BLOCKS) == min(max(levels[0], L), poset._EDGE_CAP)
+    for L in range(top):
+        shorter, longer = truncate(L).edges, truncate(L + 1).edges
+        assert longer[: len(shorter)] == shorter
+    # up to the cap the edge tuples are the table's own; above it they are built per call
+    assert all(e is f for e, f in zip(truncate(top - 1).edges, truncate(top).edges))
+    assert truncate(top).edges[-1] is not truncate(top).edges[-1]
 
 
 def test_vertices_at():
