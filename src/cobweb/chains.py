@@ -8,8 +8,6 @@ test suite and the crosscheck harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .digits import decimal
 from .fib_core import FIBONACCI, _divmod, fib, fibonomial_def, psi_factorial, psi_falling
 from .poset import (
@@ -21,6 +19,7 @@ from .poset import (
     to_linear,
     truncate,
 )
+from .record import Record
 
 ORACLE_MAX_N = 8  # 8_F! = 65520 chains; DFS stays well under a second
 
@@ -67,14 +66,13 @@ def fibonomial_via_chains(n: int, k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class ChainCountReport:
+class ChainCountReport(Record):
     """Chain counts from level ``from_level`` to level ``to_level``."""
 
-    from_level: int
-    to_level: int
-    per_source: int
-    total: int
+    __slots__ = ("from_level", "to_level", "per_source", "total")
+
+    def __init__(self, from_level: int, to_level: int, per_source: int, total: int) -> None:
+        self._fill(from_level, to_level, per_source, total)
 
     def to_json_dict(self) -> dict:
         # counts rendered as decimal strings so arbitrary precision survives JSON
@@ -93,14 +91,13 @@ def chain_count_report(k: int, n: int) -> ChainCountReport:
     return ChainCountReport(k, n, per_source, level_size(k) * per_source)
 
 
-@dataclass(frozen=True)
-class K1DegeneracyReport:
+class K1DegeneracyReport(Record):
     """Why the copy-count reading needs k > 1, recorded per n."""
 
-    n: int
-    value: int
-    flagged: bool
-    note: str
+    __slots__ = ("n", "value", "flagged", "note")
+
+    def __init__(self, n: int, value: int, flagged: bool, note: str) -> None:
+        self._fill(n, value, flagged, note)
 
 
 def check_k1_degeneracy(n: int) -> K1DegeneracyReport:

@@ -3,17 +3,18 @@
 Subcommands expose every computation in the library; numbers are always
 printed as decimal strings so big values stay exact in text.  Exit codes:
 0 success, 1 check failure (or a stdout closed by its reader), 2 usage error.
+A subcommand imports the library modules it uses when it runs, and no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import chains, crosscheck, fib_core, incidence, konvalina, paths_fences, poset
 from .digits import decimal
+
+lib = sys.modules[__package__]  # the cobweb package: lib.<module> imports that module on first use
 
 ZETA_MAX_LEVELS = 12
 HASSE_MAX_LEVELS = 10
@@ -41,15 +42,15 @@ def _cmd_fib(args) -> int:
         raise ValueError(f"fib expects n >= 0, got {args.n}")
     if args.n > FIB_MAX_N:
         raise ValueError(f"fib is bounded by n <= {FIB_MAX_N}, got n={args.n}")
-    return _emit(f"{decimal(fib_core.fib(args.n))}\n", args.out)
+    return _emit(f"{decimal(lib.fib_core.fib(args.n))}\n", args.out)
 
 
-_FIBONOMIAL_METHODS = {
-    "def": lambda n, k: fib_core.fibonomial_def(n, k),
-    "recA": lambda n, k: fib_core.fibonomial_rec(n, k, "A"),
-    "recB": lambda n, k: fib_core.fibonomial_rec(n, k, "B"),
-    "chains": chains.fibonomial_via_chains,
-    "gv": paths_fences.fibonomial_via_gv,
+_FIBONOMIAL_METHODS = {  # each imports its module and looks its function up only when it runs
+    "def": lambda n, k: lib.fib_core.fibonomial_def(n, k),
+    "recA": lambda n, k: lib.fib_core.fibonomial_rec(n, k, "A"),
+    "recB": lambda n, k: lib.fib_core.fibonomial_rec(n, k, "B"),
+    "chains": lambda n, k: lib.chains.fibonomial_via_chains(n, k),
+    "gv": lambda n, k: lib.paths_fences.fibonomial_via_gv(n, k),
 }
 
 
@@ -70,7 +71,7 @@ def _cmd_fibonomial(args) -> int:
     return 0
 
 
-def _matrix_text(m: incidence.TriangularMatrix, fmt: str) -> str:
+def _matrix_text(m, fmt: str) -> str:
     return {"dense": m.to_dense_text, "csv": m.to_csv, "json": m.to_json_text}[fmt]()
 
 
@@ -83,23 +84,24 @@ def _levels(args, cap: int) -> int:
 def _cmd_zeta(args) -> int:
     levels = _levels(args, ZETA_MAX_LEVELS)
     if args.source == "order":
-        m = incidence.zeta_from_order(levels)
+        m = lib.incidence.zeta_from_order(levels)
     else:
-        m = incidence.zeta_explicit(fib_core.fib(levels + 2))
+        m = lib.incidence.zeta_explicit(lib.fib_core.fib(levels + 2))
     return _emit(_matrix_text(m, args.format), args.out)
 
 
 def _cmd_mobius(args) -> int:
-    m = incidence.mobius(incidence.zeta_from_order(_levels(args, ZETA_MAX_LEVELS)))
+    m = lib.incidence.mobius(lib.incidence.zeta_from_order(_levels(args, ZETA_MAX_LEVELS)))
     return _emit(_matrix_text(m, args.format), args.out)
 
 
 def _cmd_chains(args) -> int:
-    report = chains.chain_count_report(args.k, args.n)
+    report = lib.chains.chain_count_report(args.k, args.n)
     if args.format == "json":
+        import json
         text = json.dumps({"schema": 1, **report.to_json_dict()}, indent=2) + "\n"
     else:
-        fibo = chains.fibonomial_via_chains(args.n, args.k)
+        fibo = lib.chains.fibonomial_via_chains(args.n, args.k)
         text = (
             f"k={report.from_level} n={report.to_level} "
             f"per_source={decimal(report.per_source)} total={decimal(report.total)} "
@@ -109,8 +111,8 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_copies(args) -> int:
-    root = poset.Vertex(args.level, args.pos)
-    return _emit(f"{decimal(poset.count_copies_rooted(root, args.m))}\n", args.out)
+    root = lib.poset.Vertex(args.level, args.pos)
+    return _emit(f"{decimal(lib.poset.count_copies_rooted(root, args.m))}\n", args.out)
 
 
 def _cmd_konvalina(args) -> int:
@@ -126,13 +128,13 @@ def _cmd_konvalina(args) -> int:
             raise ValueError(
                 f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {len(digits)} digits"
             )
-    weights = konvalina.WeightVector(tuple(int(x) for x in raw))
+    weights = lib.konvalina.WeightVector(tuple(int(x) for x in raw))
     if max(weights) > KONVALINA_MAX_WEIGHT:
         raise ValueError(f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {max(weights)}")
-    fn = konvalina.c_first_kind if args.kind == "first" else konvalina.s_second_kind
+    fn = lib.konvalina.c_first_kind if args.kind == "first" else lib.konvalina.s_second_kind
     value = fn(weights, args.k)
     if args.brute:
-        check = konvalina.brute_sum(weights, args.k, args.kind)
+        check = lib.konvalina.brute_sum(weights, args.k, args.kind)
         if check != value:
             print(f"error: DP {decimal(value)} != brute sum {decimal(check)}", file=sys.stderr)
             return 1
@@ -142,7 +144,7 @@ def _cmd_konvalina(args) -> int:
 def _cmd_gv(args) -> int:
     lines = []
     total = 0
-    for subset, det in paths_fences.gv_terms(args.n, args.k):
+    for subset, det in lib.paths_fences.gv_terms(args.n, args.k):
         total += det
         if args.verbose:
             lines.append(f"R={list(subset)} N={decimal(det)}\n")
@@ -153,9 +155,9 @@ def _cmd_gv(args) -> int:
 def _cmd_fence(args) -> int:
     if args.n > FENCE_MAX_N:
         raise ValueError(f"fence is bounded by n <= {FENCE_MAX_N}, got n={args.n}")
-    value = paths_fences.fence_ideals(args.n)
+    value = lib.paths_fences.fence_ideals(args.n)
     if args.brute:
-        check = paths_fences.fence_ideals_brute(args.n)
+        check = lib.paths_fences.fence_ideals_brute(args.n)
         if check != value:
             print(f"error: sweep {decimal(value)} != enumeration {decimal(check)}", file=sys.stderr)
             return 1
@@ -163,19 +165,16 @@ def _cmd_fence(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    return _emit(poset.to_dot(poset.truncate(_levels(args, HASSE_MAX_LEVELS))), args.out)
+    return _emit(lib.poset.to_dot(lib.poset.truncate(_levels(args, HASSE_MAX_LEVELS))), args.out)
 
 
 def _cmd_crosscheck(args) -> int:
-    cfg = crosscheck.CrosscheckConfig(
-        max_n=args.max_n,
-        oracle_max_n=min(args.oracle_max_n, args.max_n),
-    )
+    cfg = lib.crosscheck.CrosscheckConfig(max_n=args.max_n, oracle_max_n=min(args.oracle_max_n, args.max_n))
     if args.out is None:
-        return crosscheck.run_crosschecks(cfg)
+        return lib.crosscheck.run_crosschecks(cfg)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            return crosscheck.run_crosschecks(cfg, stream=fh)
+            return lib.crosscheck.run_crosschecks(cfg, stream=fh)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1

@@ -14,35 +14,33 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
 
 from . import chains, fib_core, incidence, konvalina, paths_fences, poset
 from .digits import decimal
+from .record import Record
 
 CROSSCHECK_MAX_N = 100  # boxes-dp-vs-brute runs 50 * max_n weight vectors
 SHOW_MAX = 60  # a value printed in a FAIL row is cut to its head and tail beyond this
 
 
-@dataclass
-class CrosscheckConfig:
-    max_n: int = 10
-    oracle_max_n: int = 7
+class CrosscheckConfig(Record):
+    """Bounds of the crosscheck table, checked when it is made; unlike the other records, mutable."""
 
-    def __post_init__(self) -> None:
-        if self.max_n < 1 or self.oracle_max_n < 1:
+    __slots__ = ("max_n", "oracle_max_n")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, max_n: int = 10, oracle_max_n: int = 7) -> None:
+        if max_n < 1 or oracle_max_n < 1:
             raise ValueError("bounds must be >= 1")
-        if self.max_n > CROSSCHECK_MAX_N:
-            raise ValueError(f"max_n is bounded by {CROSSCHECK_MAX_N}, got {self.max_n}")
-        if self.oracle_max_n > self.max_n:
-            raise ValueError(
-                f"oracle_max_n ({self.oracle_max_n}) must not exceed max_n ({self.max_n})"
-            )
-        if self.oracle_max_n > chains.ORACLE_MAX_N:  # a usage error, not two DFS FAIL rows
-            raise ValueError(
-                f"oracle_max_n ({self.oracle_max_n}) exceeds "
-                f"the DFS oracle bound ({chains.ORACLE_MAX_N})"
-            )
+        if max_n > CROSSCHECK_MAX_N:
+            raise ValueError(f"max_n is bounded by {CROSSCHECK_MAX_N}, got {max_n}")
+        if oracle_max_n > max_n:
+            raise ValueError(f"oracle_max_n ({oracle_max_n}) must not exceed max_n ({max_n})")
+        if oracle_max_n > chains.ORACLE_MAX_N:  # a usage error, not two DFS FAIL rows
+            bound = chains.ORACLE_MAX_N
+            raise ValueError(f"oracle_max_n ({oracle_max_n}) exceeds the DFS oracle bound ({bound})")
+        self._fill(max_n, oracle_max_n)
 
 
 Case = tuple[str, object, object, object]  # (what, case, got, want)

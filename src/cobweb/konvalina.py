@@ -10,25 +10,24 @@ the classical triangle recurrences are kept alongside as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .fib_core import fibonomial_def
+from .record import Record
 
 BRUTE_MAX_N = 12
 BRUTE_MAX_K = 12
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Nondecreasing positive integer weights, one per box."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        w = tuple(int(x) for x in weights)
+        self._fill(w)
         if any(x < 1 for x in w):
             raise ValueError(f"weights must be >= 1, got {w}")
         if any(a > b for a, b in zip(w, w[1:])):
@@ -173,13 +172,13 @@ def stirling1_unsigned(n: int, k: int) -> int:
 # --- the fibonomial gap ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSearchResult:
+class WeightSearchResult(Record):
     """Outcome of the exhaustive weighted-box search for fibonomials."""
 
-    kind: str
-    max_depth: int
-    survivors: tuple[WeightVector, ...]
+    __slots__ = ("kind", "max_depth", "survivors")
+
+    def __init__(self, kind: str, max_depth: int, survivors: tuple[WeightVector, ...]) -> None:
+        self._fill(kind, max_depth, survivors)
 
 
 def fibonomial_weight_search(max_len: int, max_entry: int, kind: str = "first") -> WeightSearchResult:

@@ -9,11 +9,11 @@ ideal count yields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .fib_core import fib
+from .record import Record
 
 GV_MAX_N = 14  # the subset sum has C(N, k) terms
 FENCE_BRUTE_MAX = 25
@@ -87,16 +87,15 @@ def fibonomial_via_gv(total: int, k: int) -> int:
     return sum(det for _, det in gv_terms(total, k))
 
 
-@dataclass(frozen=True)
-class FencePoset:
+class FencePoset(Record):
     """Zigzag order on n elements: x_1 < x_2 > x_3 < x_4 ... (or mirrored)."""
 
-    n: int
-    up_first: bool = True
+    __slots__ = ("n", "up_first")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"fence needs n >= 1, got {self.n}")
+    def __init__(self, n: int, up_first: bool = True) -> None:
+        if n < 1:
+            raise ValueError(f"fence needs n >= 1, got {n}")
+        self._fill(n, up_first)
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) pairs of 0-based element indices."""

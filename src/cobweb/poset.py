@@ -10,11 +10,12 @@ chosen vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain, combinations, product
 from typing import Iterator
 
 from .fib_core import fib
+from .record import Record, set_field
 
 
 def level_size(s: int) -> int:
@@ -24,20 +25,25 @@ def level_size(s: int) -> int:
     return 1 if s == 0 else fib(s)
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """Poset element (level, pos) with pos 1-based inside its level."""
+@total_ordering
+class Vertex(Record):
+    """Poset element (level, pos) with pos 1-based inside its level, ordered by (level, pos)."""
 
-    level: int
-    pos: int
+    __slots__ = ("level", "pos")
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if not 1 <= self.pos <= level_size(self.level):
-            raise ValueError(
-                f"pos must be in 1..{level_size(self.level)} at level {self.level}, got {self.pos}"
-            )
+    def __init__(self, level: int, pos: int) -> None:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        if not 1 <= pos <= level_size(level):
+            raise ValueError(f"pos must be in 1..{level_size(level)} at level {level}, got {pos}")
+        set_field(self, "level", level)
+        set_field(self, "pos", pos)
+
+    def _values(self) -> tuple:  # what ==, hash and < compare; faster than the generic one
+        return self.level, self.pos
+
+    def __lt__(self, other):
+        return self._values() < other._values() if other.__class__ is self.__class__ else NotImplemented
 
 
 ROOT = Vertex(0, 1)
@@ -72,17 +78,17 @@ def covers(u: Vertex, v: Vertex) -> bool:
     return v.level == u.level + 1
 
 
-@dataclass(frozen=True)
-class CobwebTruncation:
+class CobwebTruncation(Record):
     """All levels 0..max_level with the complete bipartite cover edges.
 
     ``vertices`` is in linear-index order, ``edges`` holds cover pairs as
     linear indices.  Immutable after construction.
     """
 
-    max_level: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("max_level", "vertices", "edges")
+
+    def __init__(self, max_level: int, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...]):
+        self._fill(max_level, vertices, edges)
 
     @property
     def vertex_count(self) -> int:
@@ -91,11 +97,17 @@ class CobwebTruncation:
     def vertices_at(self, s: int) -> tuple[Vertex, ...]:
         if not 0 <= s <= self.max_level:
             raise ValueError(f"level {s} outside 0..{self.max_level}")
-        return tuple(Vertex(s, j) for j in range(1, level_size(s) + 1))
+        return _LEVELS[s] if s < len(_LEVELS) else _level(s)
 
 
 _EDGE_CAP = 14  # blocks 0..13, all of truncate(14): 142 130 edges in 9.1 MB; with block 14, 23.9 MB
 _EDGE_BLOCKS: list[tuple[tuple[int, int], ...]] = []  # [s] = _edge_block(s), grown up to _EDGE_CAP
+_LEVELS: list[tuple[Vertex, ...]] = []  # [s] = _level(s), grown through level _EDGE_CAP: 987 vertices
+
+
+def _level(s: int) -> tuple[Vertex, ...]:
+    """The vertices of level s, in linear-index order."""
+    return tuple(Vertex(s, j) for j in range(1, level_size(s) + 1))
 
 
 def _edge_block(s: int) -> tuple[tuple[int, int], ...]:
@@ -105,24 +117,27 @@ def _edge_block(s: int) -> tuple[tuple[int, int], ...]:
     return tuple(product(range(start, mid), range(mid, mid + level_size(s + 1))))
 
 
+def _shared(table: list, build, kept: int, count: int) -> Iterator:
+    """The items of build(0), ..., build(count - 1): the first ``kept`` from ``table``, the rest built."""
+    # one slice assignment publishes the missing entries; as fib's table, it never shrinks
+    table[len(table) : kept] = map(build, range(len(table), kept))
+    return chain.from_iterable(chain(table[:kept], map(build, range(kept, count))))
+
+
 def truncate(max_level: int) -> CobwebTruncation:
     """Build the truncation at ``max_level``; vertex count is F_{max_level+2}.
 
-    Level s lies below level s+1 in every truncation, so the edges chain the
-    blocks ``_edge_block(s)`` for s < max_level: the first ``_EDGE_CAP`` are
-    built once and shared by every call, later ones are built per call.
+    Every truncation chains the same levels ``_level(s)`` and edge blocks ``_edge_block(s)``;
+    those up to level ``_EDGE_CAP`` are built once and shared by all calls, later ones per call.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    vertices = [Vertex(s, j) for s in range(max_level + 1) for j in range(1, level_size(s) + 1)]
+    kept = min(max_level, _EDGE_CAP)
+    vertices = tuple(_shared(_LEVELS, _level, kept + 1, max_level + 1))
     # cumulative level sizes must telescope to a Fibonacci number
     if len(vertices) != fib(max_level + 2):
         raise AssertionError("level-size bookkeeping broke; this is a bug")
-    kept = min(max_level, _EDGE_CAP)
-    # one slice assignment publishes the missing blocks; as fib's table, it never shrinks
-    _EDGE_BLOCKS[len(_EDGE_BLOCKS) : kept] = map(_edge_block, range(len(_EDGE_BLOCKS), kept))
-    blocks = chain(_EDGE_BLOCKS[:kept], map(_edge_block, range(kept, max_level)))
-    return CobwebTruncation(max_level, tuple(vertices), tuple(chain.from_iterable(blocks)))
+    return CobwebTruncation(max_level, vertices, tuple(_shared(_EDGE_BLOCKS, _edge_block, kept, max_level)))
 
 
 def to_dot(t: CobwebTruncation) -> str:
@@ -148,8 +163,7 @@ def to_json_dict(t: CobwebTruncation) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CobwebCopy:
+class CobwebCopy(Record):
     """A copy of the height-m prototype rooted at ``root``.
 
     ``level_subsets[i]`` is the chosen subset of the level root.level+i+1,
@@ -157,12 +171,13 @@ class CobwebCopy:
     complete, any such choice induces an isomorphic copy.
     """
 
-    root: Vertex
-    level_subsets: tuple[tuple[Vertex, ...], ...]
+    __slots__ = ("root", "level_subsets")
 
-    def __post_init__(self) -> None:
-        k = self.root.level
-        for i, subset in enumerate(self.level_subsets, start=1):
+    def __init__(self, root: Vertex, level_subsets: tuple[tuple[Vertex, ...], ...]) -> None:
+        set_field(self, "root", root)
+        set_field(self, "level_subsets", level_subsets)
+        k = root.level
+        for i, subset in enumerate(level_subsets, start=1):
             want = level_size(i)
             if len(subset) != len(set(subset)) or len(subset) != want:
                 raise ValueError(f"subset {i} must hold {want} distinct vertices")
@@ -200,12 +215,6 @@ def enumerate_copies_rooted(root: Vertex, m: int) -> Iterator[CobwebCopy]:
     if m < 0:
         raise ValueError(f"height must be >= 0, got {m}")
     k = root.level
-    pools = [
-        combinations(
-            (Vertex(k + i, j) for j in range(1, level_size(k + i) + 1)),
-            level_size(i),
-        )
-        for i in range(1, m + 1)
-    ]
+    pools = [combinations(_level(k + i), level_size(i)) for i in range(1, m + 1)]
     for chosen in product(*pools):
         yield CobwebCopy(root, tuple(chosen))

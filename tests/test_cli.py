@@ -1,11 +1,15 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import chains, cli, crosscheck, fib_core, incidence
@@ -537,3 +541,93 @@ def test_aborts_are_one_line_and_exit_1(capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: aborted by {exc.__name__}\n"
+
+
+# cobweb modules each subcommand imports, run as `python -m cobweb`; none imports these heavy ones
+IMPORT_BUDGET = {
+    ("fib", "10"): {"cli", "digits", "fib_core", "record"},
+    ("fibonomial", "6", "3", "--method", "def"): {"cli", "digits", "fib_core", "record"},
+    ("hasse", "--levels", "3"): {"cli", "digits", "fib_core", "poset", "record"},
+    ("zeta", "--levels", "3"): {"cli", "digits", "fib_core", "incidence", "poset", "record"},
+    ("copies", "2", "1", "2"): {"cli", "digits", "fib_core", "poset", "record"},
+}
+HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+MODULES_AT_EXIT = """
+import runpy, sys
+try:
+    runpy.run_module("cobweb", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", sorted(IMPORT_BUDGET), ids=argv_id)
+def test_subcommands_import_only_what_they_run(argv):
+    proc = subprocess.run([sys.executable, "-c", MODULES_AT_EXIT, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout
+    modules = set(proc.stderr.split())
+    assert {m.partition(".")[2] for m in modules if m.startswith("cobweb.")} == IMPORT_BUDGET[argv]
+    assert modules.isdisjoint(HEAVY_MODULES)
+
+
+def test_no_library_module_imports_dataclasses():
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
+
+
+def cli_args(*parts):
+    """argv after the subcommand: each part a strategy for one token, or a list of tokens."""
+    return st.tuples(*parts).map(lambda drawn: [t for part in drawn for t in (part if isinstance(part, list) else [part])])
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def choice(option, values):
+    return st.sampled_from([[]] + [[option, v] for v in values])
+
+
+# every subcommand, its sizes drawn inside the stated bounds so that each case takes milliseconds
+FUZZ = {
+    "fib": cli_args(ints(-3, 5000)),
+    "fibonomial": cli_args(ints(-2, 30), ints(-2, 30),
+                           st.sampled_from([["--method", m] for m in ("def", "recA", "recB", "chains", "gv", "all")])),
+    "zeta": cli_args(choice("--levels", [str(L) for L in range(-2, 9)]), choice("--source", ["order", "explicit"]),
+                     choice("--format", ["dense", "csv", "json"])),
+    "mobius": cli_args(choice("--levels", [str(L) for L in range(-2, 9)]), choice("--format", ["dense", "csv", "json"])),
+    "chains": cli_args(ints(-2, 40), ints(-2, 40), choice("--format", ["text", "json"])),
+    "copies": cli_args(ints(-1, 10), ints(-1, 60), ints(-1, 6)),
+    "konvalina": cli_args(
+        choice("--weights", ["1,2,3", "1,1,2,5,8", "3,2", "0,1", "1,x", "", "9999,9999", "1," + "9" * 5000, "+0_7, 8"]),
+        choice("--k", [str(k) for k in range(-1, 9)]), choice("--kind", ["first", "second"]), flag("--brute")),
+    "gv": cli_args(ints(-2, 15), ints(-2, 15), flag("--verbose")),
+    "fence": st.one_of(cli_args(ints(-2, 300)), cli_args(ints(-2, 20), flag("--brute"))),
+    "hasse": cli_args(choice("--levels", [str(L) for L in range(-2, 12)])),
+    "crosscheck": cli_args(choice("--max-n", ["-1", "0", "1", "101"]), choice("--oracle-max-n", ["-1", "0", "1", "9"])),
+}
+JUNK = st.lists(st.sampled_from(["-1", "0", "x", "--format", "json", "--brute", "--levels", "--help", "1e3", ""]),
+                max_size=2)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(command, data):
+    argv = [command, *data.draw(FUZZ[command]), *data.draw(JUNK)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: a usage error, or --help
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert rc != 0 or not err.getvalue()

@@ -166,6 +166,24 @@ def test_truncations_share_their_edge_blocks(monkeypatch):
     assert truncate(top).edges[-1] is not truncate(top).edges[-1]
 
 
+def test_truncations_share_their_vertex_levels(monkeypatch):
+    top = poset._EDGE_CAP + 1
+    for levels in (range(top, -1, -1), range(top + 1)):
+        monkeypatch.setattr(poset, "_LEVELS", [])  # an empty table for each order
+        for L in levels:
+            want = tuple(Vertex(s, j) for s in range(L + 1) for j in range(1, level_size(s) + 1))
+            assert truncate(L).vertices == want
+            assert len(poset._LEVELS) == min(max(levels[0], L), poset._EDGE_CAP) + 1
+    for L in range(top):
+        shorter, longer = truncate(L).vertices, truncate(L + 1).vertices
+        assert longer[: len(shorter)] == shorter
+    # through level _EDGE_CAP the vertices are the table's own; above it they are built per call
+    assert all(u is v for u, v in zip(truncate(top - 1).vertices, truncate(top).vertices))
+    assert truncate(top).vertices[-1] is not truncate(top).vertices[-1]
+    t = truncate(top)
+    assert all(t.vertices_at(s) == t.vertices[to_linear(Vertex(s, 1)) :][: level_size(s)] for s in range(top + 1))
+
+
 def test_vertices_at():
     t = truncate(5)
     assert t.vertices_at(0) == (ROOT,)

@@ -38,3 +38,27 @@ def test_traced_crosscheck_runs_and_times_every_check():
     assert len(result["names"]) == 25
     missing = [n for n in result["names"] if f"crosscheck.check.{n}" not in result["stats"]]
     assert missing == []
+
+
+LAZY_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import cobweb
+from tracing import Tracer, install
+
+install(Tracer(), cobweb)
+from cobweb import fib, truncate
+print(json.dumps({
+    "fib": [fib is cobweb.fib_core.fib, hasattr(fib, "__wrapped__")],
+    "truncate": [truncate is cobweb.poset.truncate, hasattr(truncate, "__wrapped__")],
+}))
+"""
+
+
+def test_names_imported_after_install_are_the_wrappers():
+    # the package resolves its names lazily, so a later `from cobweb import fib` sees the rebinding
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT, str(PERFBENCH)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"fib": [True, True], "truncate": [True, True]}
