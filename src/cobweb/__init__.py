@@ -21,7 +21,7 @@ _EXPORTS = {
     "crosscheck": "CrosscheckConfig run_crosschecks",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_MODULES = {*_EXPORTS, "cli", "digits", "record"}
+_MODULES = {*_EXPORTS, "bigint", "cli", "record"}
 
 
 def __getattr__(name: str):

@@ -8,8 +8,8 @@ test suite and the crosscheck harness.
 
 from __future__ import annotations
 
-from .digits import decimal
-from .fib_core import FIBONACCI, _divmod, fib, fibonomial_def, psi_factorial, psi_falling
+from .bigint import _divmod, decimal
+from .fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial, psi_falling
 from .poset import (
     CobwebCopy,
     Vertex,

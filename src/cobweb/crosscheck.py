@@ -16,8 +16,8 @@ import random
 import sys
 from typing import Callable, Iterator, TextIO
 
-from . import chains, fib_core, incidence, konvalina, paths_fences, poset
-from .digits import decimal
+from . import bigint, chains, fib_core, incidence, konvalina, paths_fences, poset
+from .bigint import decimal
 from .record import Record
 
 CROSSCHECK_MAX_N = 100  # boxes-dp-vs-brute runs 50 * max_n weight vectors
@@ -98,7 +98,7 @@ def _fibonomial_integrality(cfg: CrosscheckConfig) -> Iterator[Case]:
     # 15 065 over 4 985 bits, takes the recursive path through an odd split
     a = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
     b = fib_core.psi_factorial(fib_core.FIBONACCI, 121)
-    yield "_divmod disagrees with divmod", (241, 121), fib_core._divmod(a, b), divmod(a, b)
+    yield "_divmod disagrees with divmod", (241, 121), bigint._divmod(a, b), divmod(a, b)
 
 
 @_check("natural-binomial")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .bigint import _divmod, _product
 from .record import Record, set_field
 
 
@@ -77,20 +78,6 @@ def geometric(q: int) -> PsiSequence:
     return PsiSequence(f"geometric({q})", lambda n: q ** (n - 1) if n >= 1 else 0)
 
 
-def _product(values: list[int]) -> int:
-    """Product of ``values`` by a balanced tree; the empty product is 1.
-
-    Pairing neighbours keeps the factors of each multiplication about
-    equal in size, which is where the interpreter's Karatsuba pays off.
-    """
-    while len(values) > 1:
-        paired = [a * b for a, b in zip(values[::2], values[1::2])]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0] if values else 1
-
-
 def psi_factorial(seq: PsiSequence, n: int) -> int:
     """Product seq(n) * seq(n-1) * ... * seq(1); the empty product is 1."""
     if n < 0:
@@ -109,60 +96,6 @@ def psi_falling(seq: PsiSequence, x: int, k: int) -> int:
     if k > x:
         raise ValueError(f"psi_falling needs k <= x, got x={x}, k={k}")
     return _product([seq.values(m) for m in range(x, x - k, -1)])
-
-
-_DIV_LIMIT = 4000  # bits; below it the builtin schoolbook divmod is faster
-
-
-def _divmod(a: int, b: int) -> tuple[int, int]:
-    """Exactly ``divmod(a, b)``, by Burnikel-Ziegler recursion for big b.
-
-    CPython 3.11 divides in quadratic time.  For a >= 0 and a divisor b of
-    n > _DIV_LIMIT bits, a is taken in base-2^n digits from the top, and
-    each two-digit step is split recursively into half-size divisions, so
-    the cost follows multiplication (Karatsuba) instead.
-    """
-    n = b.bit_length()
-    if a < 0 or b <= 0 or n <= _DIV_LIMIT:
-        return divmod(a, b)
-    q, r = 0, 0
-    mask = (1 << n) - 1
-    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
-        digit, r = _div2n1n(r << n | (a >> shift) & mask, b, n)
-        q = q << n | digit
-    return q, r
-
-
-def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
-    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^n."""
-    if a.bit_length() - n <= _DIV_LIMIT:
-        return divmod(a, b)
-    pad = n & 1  # make n even, keeping b's top bit set
-    if pad:
-        a, b, n = a << 1, b << 1, n + 1
-    half = n >> 1
-    mask = (1 << half) - 1
-    b1, b2 = b >> half, b & mask
-    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
-    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
-    return q1 << half | q2, r >> pad
-
-
-def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
-    """One half-step of _div2n1n: divide a12 * 2^n + a3 by b = b1 * 2^n + b2.
-
-    The quotient is estimated from the top halves alone, then corrected;
-    b's top bit is set, so at most two corrections are needed.
-    """
-    if a12 >> n == b1:
-        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
-    else:
-        q, r = _div2n1n(a12, b1, n)
-    r = (r << n | a3) - q * b2
-    while r < 0:
-        q -= 1
-        r += b
-    return q, r
 
 
 def fibonomial_def(n: int, k: int) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import chains, cli, crosscheck, fib_core, incidence
+from cobweb import bigint, chains, cli, crosscheck, fib_core, incidence
 from cobweb.chains import fibonomial_via_chains
 from cobweb.cli import (
     FENCE_MAX_N,
@@ -23,7 +24,7 @@ from cobweb.cli import (
     ZETA_MAX_LEVELS,
     main,
 )
-from cobweb.digits import decimal
+from cobweb.bigint import decimal
 from cobweb.fib_core import REC_MAX_N, fib, fibonomial_def
 from cobweb.paths_fences import GV_MAX_N
 
@@ -330,7 +331,27 @@ def unlimited_str(value):
         sys.set_int_max_str_digits(limit)
 
 
-@given(st.integers(-(10**1500), 10**1500) | st.integers(0, 3).map(lambda e: 10 ** (600 * e)))
+@st.composite
+def split_values(draw):
+    # values decimal() takes apart at one to six levels: around a split power, with a run of
+    # zeros across a split point, or random up to about 2*10^5 bits
+    i = draw(st.integers(0, 5))
+    digits = 600 * 2**i
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["power", "zeros", "random"]))
+    if shape == "power":
+        value = 10**digits + draw(st.integers(-1, 1))
+    elif shape == "zeros":  # zeros from digit digits - right to digits + left - 1, counted from the last
+        left, right = draw(st.integers(1, 700)), draw(st.integers(1, min(700, digits)))
+        high = rng.getrandbits(rng.randint(1, 40_000)) | 1
+        value = high * 10 ** (digits + left) + rng.randrange(10 ** (digits - right))
+    else:
+        value = rng.getrandbits(rng.randint(0, 200_000))
+    return draw(st.sampled_from([1, -1])) * value
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**1500), 10**1500) | st.integers(0, 3).map(lambda e: 10 ** (600 * e)) | split_values())
 def test_decimal_matches_str(value):
     assert decimal(value) == unlimited_str(value)
 
@@ -369,6 +390,10 @@ def test_cost_bounds_are_usage_errors(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: fib is bounded by n <= {FIB_MAX_N}, got n={FIB_MAX_N + 1}\n"
+    assert main(["copies", str(FIB_MAX_N + 1), "1", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: copies is bounded by level <= {FIB_MAX_N}, got level={FIB_MAX_N + 1}\n"
     for method in ("recA", "recB"):
         assert main(["fibonomial", str(REC_MAX_N + 1), "3", "--method", method]) == 2
         captured = capsys.readouterr()
@@ -397,9 +422,9 @@ def test_crosscheck_detects_wrong_recursive_division(capsys, monkeypatch):
     # a wrong recursive step shows only for divisors above the limit
     def wrong(a, b):
         q, r = divmod(a, b)
-        return (q + 1, r) if b.bit_length() > fib_core._DIV_LIMIT else (q, r)
+        return (q + 1, r) if b.bit_length() > bigint._DIV_LIMIT else (q, r)
 
-    monkeypatch.setattr(crosscheck.fib_core, "_divmod", wrong)
+    monkeypatch.setattr(crosscheck.bigint, "_divmod", wrong)
     assert main(["crosscheck", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod" in out
@@ -493,6 +518,7 @@ SMALL_INPUTS = [
 # each stated bound, and an input just past it
 PAST_BOUNDS = [
     (FIB_MAX_N, ["fib", str(FIB_MAX_N + 1)]),
+    (FIB_MAX_N, ["copies", str(FIB_MAX_N + 1), "1", "0"]),
     (REC_MAX_N, ["fibonomial", str(REC_MAX_N + 1), "3", "--method", "recA"]),
     (GV_MAX_N, ["gv", str(GV_MAX_N + 1), "2"]),
     (FENCE_MAX_N, ["fence", str(FENCE_MAX_N + 1)]),
@@ -545,11 +571,12 @@ def test_aborts_are_one_line_and_exit_1(capsys, monkeypatch, exc):
 
 # cobweb modules each subcommand imports, run as `python -m cobweb`; none imports these heavy ones
 IMPORT_BUDGET = {
-    ("fib", "10"): {"cli", "digits", "fib_core", "record"},
-    ("fibonomial", "6", "3", "--method", "def"): {"cli", "digits", "fib_core", "record"},
-    ("hasse", "--levels", "3"): {"cli", "digits", "fib_core", "poset", "record"},
-    ("zeta", "--levels", "3"): {"cli", "digits", "fib_core", "incidence", "poset", "record"},
-    ("copies", "2", "1", "2"): {"cli", "digits", "fib_core", "poset", "record"},
+    ("fib", "10"): {"bigint", "cli", "fib_core", "record"},
+    ("fib", "30000"): {"bigint", "cli", "fib_core", "record"},  # prints by splitting, above the digit limit
+    ("fibonomial", "6", "3", "--method", "def"): {"bigint", "cli", "fib_core", "record"},
+    ("hasse", "--levels", "3"): {"bigint", "cli", "fib_core", "poset", "record"},
+    ("zeta", "--levels", "3"): {"bigint", "cli", "fib_core", "incidence", "poset", "record"},
+    ("copies", "2", "1", "2"): {"bigint", "cli", "fib_core", "poset", "record"},
 }
 HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 MODULES_AT_EXIT = """

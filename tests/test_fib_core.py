@@ -1,12 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobweb import fib_core
+from cobweb import bigint, fib_core
 from cobweb.chains import fibonomial_via_chains
 from cobweb.fib_core import (
     FIBONACCI,
@@ -211,7 +213,7 @@ def test_fib_does_not_depend_on_table_state(monkeypatch):
     assert fib_core._FIB == FIBS[: CAP + 1]
 
 
-LIMIT = fib_core._DIV_LIMIT
+LIMIT = bigint._DIV_LIMIT
 
 
 @st.composite
@@ -239,7 +241,7 @@ def division_operands(draw):
 @given(division_operands())
 def test_recursive_division_equals_divmod(operands):
     a, b = operands
-    assert fib_core._divmod(a, b) == divmod(a, b)
+    assert bigint._divmod(a, b) == divmod(a, b)
 
 
 def test_recursive_division_edge_cases():
@@ -249,21 +251,31 @@ def test_recursive_division_edge_cases():
         (big * big + 7, big), (big * big, big), (big - 1, big), (0, big), ((ones << 9001) - 1, ones),
         (-(big * big), big), (big * big, -big), (big * 3, 1), ((1 << 60_000) - 1, 1 << 8000),
     ):
-        assert fib_core._divmod(a, b) == divmod(a, b)
+        assert bigint._divmod(a, b) == divmod(a, b)
     with pytest.raises(ZeroDivisionError):
-        fib_core._divmod(big, 0)
+        bigint._divmod(big, 0)
 
 
 def test_recursive_division_with_a_tiny_limit(monkeypatch):
     # at a 2-bit limit small operands recurse deeply and take every branch:
     # odd splits, tied top halves and the second quotient correction
-    monkeypatch.setattr(fib_core, "_DIV_LIMIT", 2)
+    monkeypatch.setattr(bigint, "_DIV_LIMIT", 2)
     rng = random.Random(20261018)
     for _ in range(2000):
         b_bits = rng.randint(1, 64)
         b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
         a = rng.getrandbits(rng.randint(0, 300))
-        assert fib_core._divmod(a, b) == divmod(a, b), (a, b)
+        assert bigint._divmod(a, b) == divmod(a, b), (a, b)
+
+
+def test_big_integer_kernels_have_one_home():
+    # a kernel defined, or the limit copied, outside bigint would escape the patches above
+    for path in sorted(Path(bigint.__file__).parent.glob("*.py")):
+        if path.name != "bigint.py":
+            text = path.read_text(encoding="utf-8")
+            defs = {node.name for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+            assert defs.isdisjoint({"_product", "_divmod", "_div2n1n", "_div3n2n", "decimal"}), path.name
+            assert "_DIV_LIMIT" not in text, path.name
 
 
 @settings(max_examples=25, deadline=None)

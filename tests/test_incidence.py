@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,21 @@ def test_mobius_falls_back_when_one_relation_is_missing(sizes, data):
     m = mobius(z)
     assert m == _back_substitute(z)
     assert_exact_inverse(z, m)
+    # chain_count falls back to the dense route too
+    above = [[t for t in range(x + 1, z.size) if z.entry(x, t)] for x in range(z.size)]
+    for x in range(z.size):
+        for steps in range(1, 4):
+            ends = Counter(chain_ends(above, x, steps))
+            assert [chain_count(z, x, y, steps) for y in range(z.size)] == [ends[y] for y in range(z.size)]
+
+
+def chain_ends(above, x, steps):
+    # oracle: the last element of every strict chain from x with exactly ``steps`` steps, by DFS
+    if steps == 0:
+        yield x
+        return
+    for t in above[x]:
+        yield from chain_ends(above, t, steps - 1)
 
 
 @settings(max_examples=100, deadline=None)

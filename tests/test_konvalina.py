@@ -1,11 +1,15 @@
 import math
-import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cobweb.cli import KONVALINA_MAX_WEIGHT
 from cobweb.fib_core import fibonomial_def
 from cobweb.konvalina import (
+    BRUTE_MAX_K,
+    BRUTE_MAX_N,
     WeightVector,
     brute_sum,
     c_first_kind,
@@ -60,15 +64,22 @@ def test_brute_sum_bounds_and_kind():
         brute_sum((1, 2), 1, "third")
 
 
-def test_dp_matches_brute_on_generated_weights():
-    rng = random.Random(987123)
-    for _ in range(150):
-        n = rng.randint(1, 8)
-        w = WeightVector(tuple(sorted(rng.randint(1, 5) for _ in range(n))))
-        for k in range(n + 1):
-            assert c_first_kind(w, k) == brute_sum(w, k, "first")
-        for k in range(9):
-            assert s_second_kind(w, k) == brute_sum(w, k, "second")
+# the oracle's whole range, as `konvalina --brute` reaches it: up to 12 boxes, any weight the CLI
+# takes, and repeated weights (the sampled ones)
+weight_vectors = st.lists(
+    st.integers(1, KONVALINA_MAX_WEIGHT) | st.sampled_from([1, 2, KONVALINA_MAX_WEIGHT]),
+    min_size=1,
+    max_size=BRUTE_MAX_N,
+).map(lambda ws: WeightVector(tuple(sorted(ws))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_vectors, st.integers(0, BRUTE_MAX_K))
+def test_dp_matches_brute_on_generated_weights(w, k):
+    for j in range(len(w) + 1):
+        assert c_first_kind(w, j) == brute_sum(w, j, "first")
+    for j in range(k + 1):
+        assert s_second_kind(w, j) == brute_sum(w, j, "second")
 
 
 def test_dp_matches_literal_index_sums():
