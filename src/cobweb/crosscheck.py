@@ -99,6 +99,13 @@ def _fibonomial_integrality(cfg: CrosscheckConfig) -> Iterator[Case]:
     a = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
     b = fib_core.psi_factorial(fib_core.FIBONACCI, 121)
     yield "_divmod disagrees with divmod", (241, 121), bigint._divmod(a, b), divmod(a, b)
+    # a top bit, 64 zeros, then ones: the top half is the least a normalised divisor has,
+    # so _div3n2n's estimate is often two too big and needs both corrections
+    b = 1 << 8199 | (1 << 8135) - 1
+    rng = random.Random(20240302)
+    for i in range(8):
+        a = rng.getrandbits(16400)
+        yield "_divmod disagrees with divmod", f"8200-bit divisor {i}", bigint._divmod(a, b), divmod(a, b)
 
 
 @_check("natural-binomial")

@@ -30,7 +30,7 @@ class TriangularMatrix:
     __slots__ = ("rows", "_levels")
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(row) if isinstance(row, bytes) else tuple(map(index, row)) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -42,14 +42,19 @@ class TriangularMatrix:
     # construction helpers -------------------------------------------------
 
     @classmethod
-    def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
-        """Trusted path for library-built level forms: the O(L^2) table is coerced once, and
-        the staircase rows, square and upper triangular by construction, skip ``__init__``."""
-        form = (tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table))
+    def _trusted(cls, rows: tuple, levels) -> "TriangularMatrix":
+        """Trusted path for library-built rows of ints, square and upper triangular by
+        construction: no ``__init__``.  ``levels`` is the level form, or False for none."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", tuple(_staircase(*form)))
-        object.__setattr__(m, "_levels", form)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_levels", levels)
         return m
+
+    @classmethod
+    def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
+        """Staircase rows of a library-built level form; the O(L^2) table is coerced once."""
+        form = (tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table))
+        return cls._trusted(tuple(_staircase(*form)), form)
 
     @classmethod
     def identity(cls, n: int) -> "TriangularMatrix":
@@ -172,15 +177,21 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
 
     Row i is the int bitset of the vertices reachable from i; covers lead to
     later indices, so the rows close from the last vertex down.  Only the
-    cover edges and the linear order are read, nothing of the staircase route.
+    cover edges and the linear order are read, nothing of the staircase route:
+    the rows are expanded from the bitsets once, and the level form is read
+    off the bitsets by ``_reach_levels``.
     """
     t = truncate(max_level)
     n = t.vertex_count
     reach = [1 << i for i in range(n)]
     for i, j in sorted(t.edges, reverse=True):
         reach[i] |= reach[j]
+    for i, r in enumerate(reach):
+        if r >> i << i != r:
+            raise ValueError(f"nonzero entry below the diagonal in row {i}")
     digits = bytes.maketrans(b"01", b"\0\1")
-    return TriangularMatrix([format(r, f"0{n}b")[::-1].encode().translate(digits) for r in reach])
+    rows = tuple(tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
+    return TriangularMatrix._trusted(rows, _reach_levels(reach))
 
 
 def zeta_explicit(size: int) -> TriangularMatrix:
@@ -233,6 +244,24 @@ def _zeta_levels(rows: tuple[tuple[int, ...], ...]):
         ends.append(start)
     form = (tuple(ends), rows[0][0] if n else 1, ((1,) * len(ends),) * len(ends))
     return form if list(rows) == _staircase(*form) else None
+
+
+def _reach_levels(reach: list[int]):
+    """Level form of the zeta matrix whose row i is the bitset ``reach[i]``, or False: the
+    bitset twin of ``_zeta_levels``, in O(N) int operations.  Each block ends at the first
+    bit right of its first row's own bit; each row of the block is its own bit and the tail."""
+    n = len(reach)
+    ends = []
+    start = 0
+    while start < n:
+        r = reach[start] >> start + 1
+        end = start + (r & -r).bit_length() if r else n
+        tail = (1 << n) - (1 << end)  # every bit from end on
+        if any(reach[i] != 1 << i | tail for i in range(start, end)):
+            return False
+        ends.append(end)
+        start = end
+    return tuple(ends), 1, ((1,) * len(ends),) * len(ends)
 
 
 def _sizes(ends) -> list[int]:

@@ -34,7 +34,8 @@ class Vertex(Record):
     def __init__(self, level: int, pos: int) -> None:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        if not 1 <= pos <= level_size(level):
+        # F_s >= s - 1, so a pos below the level needs no Fibonacci number
+        if not 1 <= pos < level and not 1 <= pos <= level_size(level):
             raise ValueError(f"pos must be in 1..{level_size(level)} at level {level}, got {pos}")
         set_field(self, "level", level)
         set_field(self, "pos", pos)

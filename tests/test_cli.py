@@ -431,6 +431,26 @@ def test_crosscheck_detects_wrong_recursive_division(capsys, monkeypatch):
     assert out.count("FAIL") == 1
 
 
+def test_crosscheck_detects_a_division_corrected_at_most_once(capsys, monkeypatch):
+    # _div3n2n with its correction loop cut to one step; right unless the estimate is two too big
+    def once(a12, a3, b, b1, b2, n):
+        if a12 >> n == b1:
+            q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+        else:
+            q, r = bigint._div2n1n(a12, b1, n)
+        r = (r << n | a3) - q * b2
+        if r < 0:
+            q -= 1
+            r += b
+        return q, r
+
+    monkeypatch.setattr(bigint, "_div3n2n", once)
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod at 8200-bit divisor" in out
+    assert out.count("FAIL") == 1
+
+
 def shortened(value):
     # a FAIL row prints a value past 60 characters as its head, tail and length
     text = decimal(value)

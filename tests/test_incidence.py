@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cobweb import incidence
 from cobweb.chains import brute_force_max_chains
+from cobweb.cli import main
 from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
@@ -20,7 +22,7 @@ from cobweb.incidence import (
     zeta_explicit,
     zeta_from_order,
 )
-from cobweb.poset import Vertex, from_linear, level_size, leq, to_linear, truncate
+from cobweb.poset import CobwebTruncation, Vertex, from_linear, level_size, leq, to_linear, truncate
 
 
 def brute_mobius(z):
@@ -96,6 +98,74 @@ def test_zeta_routes_agree():
         assert zeta_from_order(L) == zeta_explicit(fib(L + 2))
         # the closure's zeta finds by comparison the level form the staircase was built from
         assert zeta_from_order(L).level_form() == zeta_explicit(fib(L + 2)).level_form()
+
+
+def test_closure_rows_and_level_form_match_the_validating_constructor():
+    for L in range(15):
+        z = zeta_from_order(L)
+        checked = TriangularMatrix(z.rows)  # __init__ coerces and checks; _zeta_levels compares
+        assert z.rows == checked.rows and z.level_form() == checked.level_form()
+        assert all(type(x) is int for row in z.rows for x in row)
+
+
+def validated_closure(t):
+    # oracle: the closure as zeta_from_order takes it, its rows given to the validating constructor
+    n = t.vertex_count
+    reach = [1 << i for i in range(n)]
+    for i, j in sorted(t.edges, reverse=True):
+        reach[i] |= reach[j]
+    return TriangularMatrix([[r >> j & 1 for j in range(n)] for r in reach])
+
+
+def closure_of_edited_edges(monkeypatch, L, edit):
+    # zeta_from_order and the oracle on truncate(L) with its cover edges edited: (matrix or error) each
+    t = truncate(L)
+    edited = CobwebTruncation(L, t.vertices, tuple(edit(list(t.edges))))
+    monkeypatch.setattr(incidence, "truncate", lambda max_level: edited)
+    results = []
+    for build in (lambda: zeta_from_order(L), lambda: validated_closure(edited)):
+        try:
+            results.append(build())
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_closure_of_broken_covers_matches_the_validating_constructor(L, data):
+    t = truncate(L)
+    z = zeta_from_order(L)
+    pick = st.integers(0, len(t.edges) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        # one cover edge dropped: the relation is no ordinal sum any more
+        gap = data.draw(pick)
+        got, want = closure_of_edited_edges(mp, L, lambda edges: edges[:gap] + edges[gap + 1 :])
+        assert got.rows == want.rows and got.level_form() is want.level_form() is None
+        # a redundant transitive edge: the same relation and level form
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(z.size) for j in range(i + 1, z.size) if z.entry(i, j)]))
+        got, want = closure_of_edited_edges(mp, L, lambda edges: edges + [(i, j)])
+        assert got.rows == want.rows == z.rows and got.level_form() == want.level_form() == z.level_form()
+        # an edge down the order: the same error, naming the same row
+        i, j = t.edges[data.draw(pick)]
+        got, want = closure_of_edited_edges(mp, L, lambda edges: edges + [(j, i)])
+        assert got == want and want.startswith("nonzero entry below the diagonal in row ")
+
+
+def test_zeta_routes_stay_independent(monkeypatch, capsys):
+    closed = [zeta_from_order(L) for L in range(13)]
+    real = incidence._staircase
+
+    def broken(ends, diag, table):
+        # every earlier block loses its ones over the last block
+        return real(ends, diag, [row[:-1] + (0,) for row in table])
+
+    monkeypatch.setattr(incidence, "_staircase", broken)
+    for L, z in enumerate(closed):
+        again = zeta_from_order(L)
+        assert again.rows == z.rows and again.level_form() == z.level_form()
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    assert "FAIL  zeta-two-routes: explicit zeta at L=1" in capsys.readouterr().out
 
 
 def test_zeta_explicit_is_the_leading_block_at_every_size():

@@ -4,7 +4,7 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from cobweb import poset
+from cobweb import fib_core, poset
 from cobweb.fib_core import fib
 from cobweb.incidence import zeta_from_order
 from cobweb.poset import (
@@ -49,6 +49,27 @@ def test_vertex_validation():
     with pytest.raises(ValueError):
         Vertex(-1, 1)
     assert Vertex(3, 2).pos == 2
+
+
+def test_a_pos_below_the_level_is_checked_without_fibonacci(monkeypatch):
+    # F_s >= s - 1: the shortcut must accept exactly what the full check accepts
+    for level in range(40):
+        for pos in range(-1, level + 3):
+            try:
+                Vertex(level, pos)
+            except ValueError:
+                assert not 1 <= pos <= level_size(level)
+            else:
+                assert 1 <= pos <= level_size(level)
+
+    def capped(n):
+        assert n <= fib_core._FIB_CAP, "F_n computed above the table"
+        return fib(n)
+
+    monkeypatch.setattr(poset, "fib", capped)
+    assert Vertex(10**6, 5).pos == 5
+    with pytest.raises(ValueError, match=r"^pos must be in 1\.\.2 at level 3, got 3$"):
+        Vertex(3, 3)
 
 
 def test_to_linear_values():
