@@ -172,6 +172,10 @@ def _entry_bound(rows) -> int:
     return max(max(map(max, rows), default=0), -min(map(min, rows), default=0), 1)
 
 
+_ZETA_CAP = 12  # cli.ZETA_MAX_LEVELS; the closures of L = 0..12, rows and edges, take 2.2 MB
+_ZETA: dict[int, tuple] = {}  # L -> (vertex count, edges, zeta_from_order(L)) for L <= _ZETA_CAP
+
+
 def zeta_from_order(max_level: int) -> TriangularMatrix:
     """Zeta matrix as the reflexive-transitive closure of the Hasse diagram.
 
@@ -179,10 +183,15 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     later indices, so the rows close from the last vertex down.  Only the
     cover edges and the linear order are read, nothing of the staircase route:
     the rows are expanded from the bitsets once, and the level form is read
-    off the bitsets by ``_reach_levels``.
+    off the bitsets by ``_reach_levels``.  A closure through ``_ZETA_CAP`` is
+    kept with the edges it closed and returned again, the same immutable
+    matrix, only to a truncation with the same vertex count and edges.
     """
     t = truncate(max_level)
     n = t.vertex_count
+    kept = _ZETA.get(max_level)
+    if kept and kept[0] == n and kept[1] == t.edges:  # shared pairs: a walk over pointers
+        return kept[2]
     reach = [1 << i for i in range(n)]
     for i, j in sorted(t.edges, reverse=True):
         reach[i] |= reach[j]
@@ -191,7 +200,10 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
             raise ValueError(f"nonzero entry below the diagonal in row {i}")
     digits = bytes.maketrans(b"01", b"\0\1")
     rows = tuple(tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
-    return TriangularMatrix._trusted(rows, _reach_levels(reach))
+    z = TriangularMatrix._trusted(rows, _reach_levels(reach))
+    if max_level <= _ZETA_CAP:
+        _ZETA[max_level] = n, t.edges, z
+    return z
 
 
 def zeta_explicit(size: int) -> TriangularMatrix:
@@ -312,8 +324,12 @@ def _back_substitute(z: TriangularMatrix) -> TriangularMatrix:
 
 
 def eta(z: TriangularMatrix) -> TriangularMatrix:
-    """Strict-order part zeta - delta; its powers count strict chains."""
-    return z - TriangularMatrix.identity(z.size)
+    """Strict-order part zeta - delta; its powers count strict chains.  Of a level
+    form it is the same form with the diagonal one less."""
+    form = z.level_form()
+    if form is None:
+        return z - TriangularMatrix.identity(z.size)
+    return TriangularMatrix._from_levels(form[0], form[1] - 1, form[2])
 
 
 def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:

@@ -94,7 +94,7 @@ def brute_sum(w: WeightVector | Iterable[int], k: int, kind: str) -> int:
         tuples = combinations(ws, k)
     else:
         tuples = combinations_with_replacement(ws, k)
-    return sum(math.prod(t) for t in tuples)
+    return sum(map(math.prod, tuples))
 
 
 def specialize(kind: str, n: int, q: int | None = None) -> WeightVector:

@@ -217,5 +217,8 @@ def enumerate_copies_rooted(root: Vertex, m: int) -> Iterator[CobwebCopy]:
         raise ValueError(f"height must be >= 0, got {m}")
     k = root.level
     pools = [combinations(_level(k + i), level_size(i)) for i in range(1, m + 1)]
-    for chosen in product(*pools):
-        yield CobwebCopy(root, tuple(chosen))
+    for chosen in product(*pools):  # valid by construction: set the fields without __init__
+        copy = CobwebCopy.__new__(CobwebCopy)
+        set_field(copy, "root", root)
+        set_field(copy, "level_subsets", chosen)
+        yield copy

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cobweb import incidence
 from cobweb.chains import brute_force_max_chains
-from cobweb.cli import main
+from cobweb.cli import ZETA_MAX_LEVELS, main
 from cobweb.fib_core import fib
 from cobweb.incidence import (
     TriangularMatrix,
@@ -161,11 +161,50 @@ def test_zeta_routes_stay_independent(monkeypatch, capsys):
         return real(ends, diag, [row[:-1] + (0,) for row in table])
 
     monkeypatch.setattr(incidence, "_staircase", broken)
+    monkeypatch.setattr(incidence, "_ZETA", {})  # rebuilt, not read back from the table
     for L, z in enumerate(closed):
         again = zeta_from_order(L)
         assert again.rows == z.rows and again.level_form() == z.level_form()
     assert main(["crosscheck", "--max-n", "4"]) == 1
     assert "FAIL  zeta-two-routes: explicit zeta at L=1" in capsys.readouterr().out
+
+
+def test_a_repeated_closure_is_the_same_object():
+    for L in range(ZETA_MAX_LEVELS + 1):
+        assert zeta_from_order(L) is zeta_from_order(L)
+
+
+def test_an_edited_truncation_gets_its_own_closure(monkeypatch):
+    L = 6
+    real = zeta_from_order(L)
+    t = truncate(L)
+    i, j = t.edges[0]
+    k = next(k for k in range(j + 1, t.vertex_count) if real.entry(i, k) and (i, k) not in t.edges)
+    edits = [
+        t.edges[1:],  # a cover edge dropped
+        ((i, k),) + t.edges[1:],  # a cover edge swapped for a transitive one: as many edges
+        t.edges + ((t.vertex_count - 1, 0),),  # an edge down the order
+    ]
+    for edges in edits:
+        with monkeypatch.context() as mp:
+            got, want = closure_of_edited_edges(mp, L, lambda _: edges)
+        assert got == want != real
+        again = zeta_from_order(L)
+        assert again.rows == real.rows == zeta_explicit(fib(L + 2)).rows
+        assert again.level_form() == real.level_form()
+    # the same edges over one vertex more: a closure of its own size
+    grown = CobwebTruncation(L, t.vertices + (Vertex(L + 1, 1),), t.edges)
+    monkeypatch.setattr(incidence, "truncate", lambda max_level: grown)
+    assert zeta_from_order(L).size == real.size + 1
+
+
+def test_no_closure_is_kept_above_the_cap(monkeypatch):
+    assert incidence._ZETA_CAP == ZETA_MAX_LEVELS
+    monkeypatch.setattr(incidence, "_ZETA", {})
+    for L in range(ZETA_MAX_LEVELS + 3):
+        zeta_from_order(L)
+    assert sorted(incidence._ZETA) == list(range(ZETA_MAX_LEVELS + 1))
+    assert zeta_from_order(ZETA_MAX_LEVELS + 1) is not zeta_from_order(ZETA_MAX_LEVELS + 1)
 
 
 def test_zeta_explicit_is_the_leading_block_at_every_size():
@@ -420,6 +459,24 @@ def test_eta_nilpotency():
         assert e.power(L + 1).is_zero()
         if L >= 1:
             assert not e.power(L).is_zero()
+
+
+def test_eta_of_a_level_form_is_the_dense_subtraction():
+    def dense_eta(z):
+        return TriangularMatrix([[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(z.rows)])
+
+    for L in range(11):
+        z = zeta_from_order(L)
+        for _ in range(2):  # eta(z) and eta(eta(z)), diagonals 0 and -1
+            got, want = eta(z), dense_eta(z)
+            assert got.rows == want.rows and got.level_form() == want.level_form()
+            z = got
+    # mu's form: the same table with diagonal 0, which the dense recognizer cannot see
+    mu = mobius(zeta_from_order(5))
+    ends, _, table = mu.level_form()
+    assert eta(mu).rows == dense_eta(mu).rows and eta(mu).level_form() == (ends, 0, table)
+    plain = TriangularMatrix([[1, 2, 0], [0, 1, 3], [0, 0, 1]])  # no ordinal sum: the dense route
+    assert plain.level_form() is None and eta(plain).rows == ((0, 2, 0), (0, 0, 3), (0, 0, 0))
 
 
 def test_maximal_chain_matrix_examples():

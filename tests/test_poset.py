@@ -227,7 +227,10 @@ def test_count_copies_matches_enumeration():
                 root = Vertex(k, j)
                 want = brute_copy_count(root, m)
                 assert count_copies_rooted(root, m) == want
-                assert sum(1 for _ in enumerate_copies_rooted(root, m)) == want
+                copies = list(enumerate_copies_rooted(root, m))
+                assert len(copies) == want
+                # built without __init__: each copy must pass the validating constructor
+                assert all(copy == CobwebCopy(root, tuple(map(tuple, copy.level_subsets))) for copy in copies)
 
 
 def test_cobweb_copy_validation():
