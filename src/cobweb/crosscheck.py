@@ -199,7 +199,7 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
         want = incidence._back_substitute(z).rows
         yield "level and dense mu disagree", f"L={L}", m.rows, want
         ident = incidence.TriangularMatrix.identity(z.size).rows
-        dense = incidence.TriangularMatrix(m.rows) * z  # mu's rows rebuilt have no level form
+        dense = incidence.TriangularMatrix(m.rows) * z  # a matrix built from rows has no level form
         yield "level vs Kronecker product", f"L={L}", (m * z).rows, dense.rows
         yield "mu * zeta = delta", f"L={L}", (m * z).rows, ident
         yield "zeta * mu = delta", f"L={L}", (z * m).rows, ident

@@ -24,8 +24,8 @@ from .poset import level_size, truncate
 class TriangularMatrix:
     """Immutable square integer matrix with nothing below the diagonal.
 
-    An ordinal sum of blocks has a level form ``(ends, diag, table)``: block ends,
-    the diagonal, and table[b][c] for c > b, every entry from block b to block c."""
+    One the library builds on an ordinal sum of blocks has a level form ``(ends, diag, table)``:
+    block ends, the diagonal, and table[b][c] for c > b, every entry from block b to block c."""
 
     __slots__ = ("rows", "_levels")
 
@@ -38,13 +38,14 @@ class TriangularMatrix:
             if any(row[:i]):
                 raise ValueError(f"nonzero entry below the diagonal in row {i}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_levels", None)  # rows alone: the dense kernels serve it
 
     # construction helpers -------------------------------------------------
 
     @classmethod
     def _trusted(cls, rows: tuple, levels) -> "TriangularMatrix":
         """Trusted path for library-built rows of ints, square and upper triangular by
-        construction: no ``__init__``.  ``levels`` is the level form, or False for none."""
+        construction: no ``__init__``.  ``levels`` is the level form, or None for none."""
         m = cls.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "_levels", levels)
@@ -79,10 +80,8 @@ class TriangularMatrix:
         raise AttributeError("TriangularMatrix is immutable")
 
     def level_form(self):
-        """``(ends, diag, table)`` or None; a dense matrix is compared once with a staircase."""
-        if getattr(self, "_levels", None) is None:  # not looked for yet
-            object.__setattr__(self, "_levels", _zeta_levels(self.rows) or False)
-        return self._levels or None
+        """``(ends, diag, table)`` as the constructor that built the matrix set it, or None."""
+        return self._levels
 
     def is_unitriangular(self) -> bool:
         return all(self.rows[i][i] == 1 for i in range(self.size))
@@ -120,17 +119,10 @@ class TriangularMatrix:
             out.append([int.from_bytes(data[j : j + w], "little") - lift for j in range(0, n * w, w)])
         return TriangularMatrix(out)
 
-    def __sub__(self, other: "TriangularMatrix") -> "TriangularMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return TriangularMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def power(self, t: int) -> "TriangularMatrix":
         if t < 0:
             raise ValueError(f"power expects t >= 0, got {t}")
-        # from self, not the identity, whose one block would miss self's level form
+        # from self, not the identity: a product keeps a level form only if both factors have one
         return reduce(mul, repeat(self, t - 1), self) if t else TriangularMatrix.identity(self.size)
 
     def is_zero(self) -> bool:
@@ -244,24 +236,10 @@ def mobius(z: TriangularMatrix) -> TriangularMatrix:
     return TriangularMatrix._from_levels(ends, 1, mu)
 
 
-def _zeta_levels(rows: tuple[tuple[int, ...], ...]):
-    """Level form of ``rows`` if they are the zeta matrix of an ordinal sum of
-    antichains or its eta (diagonal 0), else None: each block ends at the first
-    one right of its first row's diagonal, and all rows must be that staircase."""
-    n = len(rows)
-    ends = []
-    start = 0
-    while start < n:  # a sentinel one at index n ends the last block
-        start = (rows[start] + (1,)).index(1, start + 1)
-        ends.append(start)
-    form = (tuple(ends), rows[0][0] if n else 1, ((1,) * len(ends),) * len(ends))
-    return form if list(rows) == _staircase(*form) else None
-
-
 def _reach_levels(reach: list[int]):
-    """Level form of the zeta matrix whose row i is the bitset ``reach[i]``, or False: the
-    bitset twin of ``_zeta_levels``, in O(N) int operations.  Each block ends at the first
-    bit right of its first row's own bit; each row of the block is its own bit and the tail."""
+    """Level form of the zeta matrix whose row i is the bitset ``reach[i]``, or None, in O(N)
+    int operations.  Each block ends at the first bit right of its first row's own bit; each
+    row of the block must be its own bit and every bit from the block end on."""
     n = len(reach)
     ends = []
     start = 0
@@ -270,7 +248,7 @@ def _reach_levels(reach: list[int]):
         end = start + (r & -r).bit_length() if r else n
         tail = (1 << n) - (1 << end)  # every bit from end on
         if any(reach[i] != 1 << i | tail for i in range(start, end)):
-            return False
+            return None
         ends.append(end)
         start = end
     return tuple(ends), 1, ((1,) * len(ends),) * len(ends)
@@ -328,7 +306,7 @@ def eta(z: TriangularMatrix) -> TriangularMatrix:
     form it is the same form with the diagonal one less."""
     form = z.level_form()
     if form is None:
-        return z - TriangularMatrix.identity(z.size)
+        return TriangularMatrix([[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(z.rows)])
     return TriangularMatrix._from_levels(form[0], form[1] - 1, form[2])
 
 

@@ -98,7 +98,7 @@ class CobwebTruncation(Record):
     def vertices_at(self, s: int) -> tuple[Vertex, ...]:
         if not 0 <= s <= self.max_level:
             raise ValueError(f"level {s} outside 0..{self.max_level}")
-        return _LEVELS[s] if s < len(_LEVELS) else _level(s)
+        return tuple(v for v in self.vertices if v.level == s)
 
 
 _EDGE_CAP = 14  # blocks 0..13, all of truncate(14): 142 130 edges in 9.1 MB; with block 14, 23.9 MB
@@ -142,13 +142,13 @@ def truncate(max_level: int) -> CobwebTruncation:
 
 
 def to_dot(t: CobwebTruncation) -> str:
-    """Render the Hasse diagram as DOT, one same-rank group per level."""
+    """Render the Hasse diagram as DOT, one same-rank group per level of its vertices."""
     lines = ["digraph cobweb {", "  rankdir=BT;"]
+    ranks: dict[int, list[str]] = {}  # level -> its vertices, numbered by position as the nodes are
     for i, v in enumerate(t.vertices):
         lines.append(f'  v{i} [label="({v.pos},{v.level})"];')
-    for s in range(t.max_level + 1):
-        ids = " ".join(f"v{to_linear(v)};" for v in t.vertices_at(s))
-        lines.append(f"  {{ rank=same; {ids} }}")
+        ranks.setdefault(v.level, []).append(f"v{i};")
+    lines += (f"  {{ rank=same; {' '.join(ids)} }}" for ids in ranks.values())
     for i, j in t.edges:
         lines.append(f"  v{i} -> v{j};")
     lines.append("}")

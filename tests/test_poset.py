@@ -10,6 +10,7 @@ from cobweb.incidence import zeta_from_order
 from cobweb.poset import (
     ROOT,
     CobwebCopy,
+    CobwebTruncation,
     Vertex,
     count_copies_rooted,
     covers,
@@ -211,6 +212,9 @@ def test_vertices_at():
     assert len(t.vertices_at(5)) == 5
     with pytest.raises(ValueError):
         t.vertices_at(6)
+    hand_built = CobwebTruncation(3, (ROOT, Vertex(1, 1)), ((0, 1),))  # its own vertices, not the table's
+    assert hand_built.vertices_at(0) == (ROOT,) and hand_built.vertices_at(1) == (Vertex(1, 1),)
+    assert hand_built.vertices_at(2) == hand_built.vertices_at(3) == ()
 
 
 def test_count_copies_rooted_values():
@@ -263,6 +267,13 @@ def test_to_dot_structure():
     assert dot3.count("{") == dot3.count("}")
     assert dot3.count("rank=same") == 4
     assert '"(2,3)"' in dot3
+    # a hand-built truncation: rank groups of its own vertices, numbered by position as the nodes are
+    assert to_dot(CobwebTruncation(3, (ROOT, Vertex(1, 1)), ((0, 1),))) == (
+        'digraph cobweb {\n  rankdir=BT;\n  v0 [label="(1,0)"];\n  v1 [label="(1,1)"];\n'
+        "  { rank=same; v0; }\n  { rank=same; v1; }\n  v0 -> v1;\n}\n"
+    )
+    top = CobwebTruncation(3, (Vertex(3, 2),), ())
+    assert to_dot(top) == 'digraph cobweb {\n  rankdir=BT;\n  v0 [label="(2,3)"];\n  { rank=same; v0; }\n}\n'
 
 
 def test_to_json_dict_roundtrip():
