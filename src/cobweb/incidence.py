@@ -182,7 +182,7 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     t = truncate(max_level)
     n = t.vertex_count
     kept = _ZETA.get(max_level)
-    if kept and kept[0] == n and kept[1] == t.edges:  # shared pairs: a walk over pointers
+    if kept and kept[0] == n and (kept[1] is t.edges or kept[1] == t.edges):  # kept: the same edges tuple
         return kept[2]
     reach = [1 << i for i in range(n)]
     for i, j in sorted(t.edges, reverse=True):

@@ -9,7 +9,7 @@ ideal count yields.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Sequence
 
 from .fib_core import fib
@@ -109,27 +109,21 @@ class FencePoset(Record):
 def iter_fence_ideals(n: int, up_first: bool = True) -> Iterator[frozenset[int]]:
     """Yield every order ideal (down-set) of the n-element fence.
 
-    Backtracks over membership left to right; the fence's only relations
-    are between neighbours, so one local check per step suffices.
+    Backtracks over membership left to right, absent before present, on an
+    explicit stack; the fence's only relations are between neighbours, so
+    one local check per step suffices.
     """
-    pairs = FencePoset(n, up_first).cover_pairs()
-    chosen: list[bool] = []
-
-    def extend(p: int) -> Iterator[frozenset[int]]:
-        if p == n:
-            yield frozenset(i for i, c in enumerate(chosen) if c)
-            return
-        for c in (False, True):
-            if p > 0:
-                lo, hi = pairs[p - 1]
-                member = {p: c, p - 1: chosen[p - 1]}
-                if member[hi] and not member[lo]:
-                    continue  # upper element without its lower neighbour
-            chosen.append(c)
-            yield from extend(p + 1)
-            chosen.pop()
-
-    yield from extend(0)
+    # at each step p >= 1, the memberships of p - 1 and p that hold the upper element without the lower
+    barred = [(False, True) if lo < hi else (True, False) for lo, hi in FencePoset(n, up_first).cover_pairs()]
+    stack = [(True,), (False,)]  # membership prefixes still to extend, the next one on top
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == n:
+            yield frozenset(compress(range(n), prefix))
+            continue
+        for c in (True, False):  # absent last, so it is on top and extended first
+            if (prefix[-1], c) != barred[len(prefix) - 1]:
+                stack.append(prefix + (c,))
 
 
 def fence_ideals_brute(n: int, up_first: bool = True) -> int:

@@ -9,9 +9,11 @@ chosen vertex.
 
 from __future__ import annotations
 
+import gc
 import math
+from bisect import bisect_right
 from functools import total_ordering
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Iterator
 
 from .fib_core import fib
@@ -63,8 +65,8 @@ def from_linear(i: int) -> Vertex:
         raise ValueError(f"linear index must be >= 0, got {i}")
     if i == 0:
         return ROOT
-    s = 1
-    while fib(s + 2) <= i:
+    s = bisect_right(_LEVEL_STARTS, i)  # the levels 1..s start at or below i
+    while fib(s + 2) <= i:  # past the list, a level at a time
         s += 1
     return Vertex(s, i - fib(s + 1) + 1)
 
@@ -101,9 +103,9 @@ class CobwebTruncation(Record):
         return tuple(v for v in self.vertices if v.level == s)
 
 
-_EDGE_CAP = 14  # blocks 0..13, all of truncate(14): 142 130 edges in 9.1 MB; with block 14, 23.9 MB
-_EDGE_BLOCKS: list[tuple[tuple[int, int], ...]] = []  # [s] = _edge_block(s), grown up to _EDGE_CAP
-_LEVELS: list[tuple[Vertex, ...]] = []  # [s] = _level(s), grown through level _EDGE_CAP: 987 vertices
+_KEPT = 14  # truncate(0..14) kept whole: 142 130 edges of truncate(14), all 15 entries in 9.9 MB
+_TRUNCATIONS: list[CobwebTruncation] = []  # [L] = truncate(L), grown in order up to _KEPT
+_LEVEL_STARTS = tuple(fib(s + 1) for s in range(1, _KEPT + 1))  # [s - 1] = F_{s+1}: level s starts there
 
 
 def _level(s: int) -> tuple[Vertex, ...]:
@@ -111,34 +113,38 @@ def _level(s: int) -> tuple[Vertex, ...]:
     return tuple(Vertex(s, j) for j in range(1, level_size(s) + 1))
 
 
-def _edge_block(s: int) -> tuple[tuple[int, int], ...]:
-    """Cover pairs from level s to level s+1: every pair of the two levels' linear index ranges."""
-    start = sum(map(level_size, range(s)))  # level s starts after the levels below it
-    mid = start + level_size(s)
-    return tuple(product(range(start, mid), range(mid, mid + level_size(s + 1))))
-
-
-def _shared(table: list, build, kept: int, count: int) -> Iterator:
-    """The items of build(0), ..., build(count - 1): the first ``kept`` from ``table``, the rest built."""
-    # one slice assignment publishes the missing entries; as fib's table, it never shrinks
-    table[len(table) : kept] = map(build, range(len(table), kept))
-    return chain.from_iterable(chain(table[:kept], map(build, range(kept, count))))
+def _grow(t: CobwebTruncation) -> CobwebTruncation:
+    """The truncation one level above ``t``: its vertices and edges, then the next level and its covers."""
+    s, mid = t.max_level + 1, len(t.vertices)  # level s starts where t ends, level s - 1 ends there
+    vertices = t.vertices + _level(s)
+    if len(vertices) != fib(s + 2):  # cumulative level sizes must telescope to a Fibonacci number
+        raise AssertionError("level-size bookkeeping broke; this is a bug")
+    pairs = product(range(mid - level_size(s - 1), mid), range(mid, len(vertices)))
+    return CobwebTruncation(s, vertices, t.edges + tuple(pairs))
 
 
 def truncate(max_level: int) -> CobwebTruncation:
-    """Build the truncation at ``max_level``; vertex count is F_{max_level+2}.
+    """The truncation at ``max_level``; vertex count is F_{max_level+2}, ``edges`` in ascending (i, j) order.
 
-    Every truncation chains the same levels ``_level(s)`` and edge blocks ``_edge_block(s)``;
-    those up to level ``_EDGE_CAP`` are built once and shared by all calls, later ones per call.
+    Each one is the one below it grown by a level.  Those through level ``_KEPT`` are built once and
+    returned again, the same immutable object; one above it is grown from ``truncate(_KEPT)`` per call.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    kept = min(max_level, _EDGE_CAP)
-    vertices = tuple(_shared(_LEVELS, _level, kept + 1, max_level + 1))
-    # cumulative level sizes must telescope to a Fibonacci number
-    if len(vertices) != fib(max_level + 2):
-        raise AssertionError("level-size bookkeeping broke; this is a bug")
-    return CobwebTruncation(max_level, vertices, tuple(_shared(_EDGE_BLOCKS, _edge_block, kept, max_level)))
+    if max_level < len(_TRUNCATIONS):
+        return _TRUNCATIONS[max_level]
+    enabled = gc.isenabled()
+    gc.disable()  # the pairs are tuples of ints, no cycle: the next young collection untracks them in one pass
+    try:
+        grown = _TRUNCATIONS[-1:] or [CobwebTruncation(0, (ROOT,), ())]
+        while grown[-1].max_level < max_level:
+            grown.append(_grow(grown[-1]))
+    finally:
+        if enabled:
+            gc.enable()
+    # one slice assignment publishes the new entries by index; none is ever removed
+    _TRUNCATIONS[grown[0].max_level : _KEPT + 1] = grown[: _KEPT + 1 - grown[0].max_level]
+    return grown[-1]
 
 
 def to_dot(t: CobwebTruncation) -> str:

@@ -146,6 +146,34 @@ def test_enumerated_ideals_are_down_sets():
                     assert not (hi in ideal and lo not in ideal)
 
 
+def recursive_fence_ideals(n, up_first=True):
+    # the order oracle: a recursive generator, absent before present at each position
+    pairs = FencePoset(n, up_first).cover_pairs()
+    chosen = []
+
+    def extend(p):
+        if p == n:
+            yield frozenset(i for i, c in enumerate(chosen) if c)
+            return
+        for c in (False, True):
+            if p > 0:
+                lo, hi = pairs[p - 1]
+                member = {p: c, p - 1: chosen[p - 1]}
+                if member[hi] and not member[lo]:
+                    continue  # upper element without its lower neighbour
+            chosen.append(c)
+            yield from extend(p + 1)
+            chosen.pop()
+
+    yield from extend(0)
+
+
+def test_enumerated_ideals_follow_the_recursive_order():
+    for n in range(1, 15):
+        for up_first in (True, False):
+            assert list(iter_fence_ideals(n, up_first)) == list(recursive_fence_ideals(n, up_first))
+
+
 def test_transfer_matches_enumeration():
     for n in range(1, 19):
         assert fence_ideals(n) == fence_ideals_brute(n)

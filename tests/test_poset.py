@@ -1,6 +1,7 @@
+import gc
 import json
 import math
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, pairwise, product
 
 import pytest
 
@@ -87,11 +88,20 @@ def test_from_linear_values():
 
 def test_linear_roundtrip_and_monotone_levels():
     prev_level = 0
-    for i in range(fib(14)):  # everything through level 12
+    for i in range(fib(poset._KEPT + 2)):  # every vertex of the kept truncations, read off the list of level starts
         v = from_linear(i)
         assert to_linear(v) == i
         assert v.level >= prev_level
         prev_level = v.level
+    assert prev_level == poset._KEPT
+    # past the list: level s - 1 starts at F_s
+    for s in range(poset._KEPT + 3, 60):
+        for i in (fib(s) - 1, fib(s), fib(s) + 1):
+            v = from_linear(i)
+            assert to_linear(v) == i
+            assert v.level == (s - 1 if i >= fib(s) else s - 2)
+    with pytest.raises(ValueError, match=r"^linear index must be >= 0, got -1$"):
+        from_linear(-1)
 
 
 def test_leq_examples():
@@ -169,41 +179,89 @@ def test_truncate_edges_match_per_vertex_construction():
         assert truncate(L).edges == tuple(want)
 
 
+def kept_truncation(L):
+    """The vertices and edges of truncate(L), from the level starts alone."""
+    first = [to_linear(Vertex(s, 1)) for s in range(L + 2)]  # first index of each level
+    vertices = tuple(Vertex(s, j) for s in range(L + 1) for j in range(1, level_size(s) + 1))
+    edges = chain.from_iterable(
+        product(range(first[s], first[s + 1]), range(first[s + 1], first[s + 2])) for s in range(L)
+    )
+    return vertices, tuple(edges)
+
+
+def is_truncate(t, L):
+    return (t.max_level, t.vertices, t.edges) == (L, *kept_truncation(L))
+
+
+def test_truncate_edges_ascend():
+    # both sides of the cap: the kept truncations and those grown per call
+    for L in range(poset._KEPT + 3):
+        assert all(e < f for e, f in pairwise(truncate(L).edges))
+
+
 def test_truncations_share_their_edge_blocks(monkeypatch):
-    top = poset._EDGE_CAP + 1
+    top = poset._KEPT + 1
     for levels in (range(top, -1, -1), range(top + 1)):
-        monkeypatch.setattr(poset, "_EDGE_BLOCKS", [])  # an empty table for each order
+        monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # an empty table for each order
         for L in levels:
-            first = [to_linear(Vertex(s, 1)) for s in range(L + 2)]  # first index of each level
-            want = chain.from_iterable(
-                product(range(first[s], first[s + 1]), range(first[s + 1], first[s + 2])) for s in range(L)
-            )
-            assert truncate(L).edges == tuple(want)
-            assert len(poset._EDGE_BLOCKS) == min(max(levels[0], L), poset._EDGE_CAP)
-    for L in range(top):
+            assert truncate(L).edges == kept_truncation(L)[1]
+            assert len(poset._TRUNCATIONS) == min(max(levels[0], L), poset._KEPT) + 1
+    for L in range(top):  # each one's edges start with the very pairs of the one below it
         shorter, longer = truncate(L).edges, truncate(L + 1).edges
         assert longer[: len(shorter)] == shorter
-    # up to the cap the edge tuples are the table's own; above it they are built per call
-    assert all(e is f for e, f in zip(truncate(top - 1).edges, truncate(top).edges))
+        assert all(e is f for e, f in zip(shorter, longer))
+    # up to the cap the truncations are the table's own; above it one is grown, and its new pairs built, per call
+    assert all(truncate(L) is poset._TRUNCATIONS[L] for L in range(top))
+    assert truncate(top) is not truncate(top)
     assert truncate(top).edges[-1] is not truncate(top).edges[-1]
 
 
 def test_truncations_share_their_vertex_levels(monkeypatch):
-    top = poset._EDGE_CAP + 1
+    top = poset._KEPT + 1
     for levels in (range(top, -1, -1), range(top + 1)):
-        monkeypatch.setattr(poset, "_LEVELS", [])  # an empty table for each order
+        monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # an empty table for each order
         for L in levels:
-            want = tuple(Vertex(s, j) for s in range(L + 1) for j in range(1, level_size(s) + 1))
-            assert truncate(L).vertices == want
-            assert len(poset._LEVELS) == min(max(levels[0], L), poset._EDGE_CAP) + 1
+            assert truncate(L).vertices == kept_truncation(L)[0]
+            assert len(poset._TRUNCATIONS) == min(max(levels[0], L), poset._KEPT) + 1
     for L in range(top):
         shorter, longer = truncate(L).vertices, truncate(L + 1).vertices
         assert longer[: len(shorter)] == shorter
-    # through level _EDGE_CAP the vertices are the table's own; above it they are built per call
-    assert all(u is v for u, v in zip(truncate(top - 1).vertices, truncate(top).vertices))
+        assert all(u is v for u, v in zip(shorter, longer))
+    # through level _KEPT the vertices are the table's own; above it the new level is built per call
     assert truncate(top).vertices[-1] is not truncate(top).vertices[-1]
     t = truncate(top)
     assert all(t.vertices_at(s) == t.vertices[to_linear(Vertex(s, 1)) :][: level_size(s)] for s in range(top + 1))
+
+
+def test_truncate_leaves_the_collector_as_it_found_it(monkeypatch):
+    grow = poset._grow
+
+    def failing(t):  # a build that breaks half way, above the entries already kept
+        if t.max_level == 6:
+            raise RuntimeError("no level 7")
+        return grow(t)
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(poset, "_TRUNCATIONS", [])
+            truncate(poset._KEPT + 1)
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(poset, "_TRUNCATIONS", [])
+            truncate(3)
+            monkeypatch.setattr(poset, "_grow", failing)
+            with pytest.raises(RuntimeError, match="no level 7"):
+                truncate(9)
+            assert gc.isenabled() is enabled
+            assert 4 <= len(poset._TRUNCATIONS) <= 7
+            assert all(map(is_truncate, poset._TRUNCATIONS, count()))
+            monkeypatch.setattr(poset, "_grow", grow)
+            assert (truncate(9).vertices, truncate(9).edges) == kept_truncation(9)
+            assert all(map(is_truncate, poset._TRUNCATIONS, count()))
+            assert len(poset._TRUNCATIONS) == 10
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_vertices_at():
