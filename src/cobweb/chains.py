@@ -8,8 +8,8 @@ test suite and the crosscheck harness.
 
 from __future__ import annotations
 
-from .bigint import _divmod, decimal
-from .fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial, psi_falling
+from .bigint import decimal
+from .fib_core import FIBONACCI, _fib_quotient, fib, fibonomial_def, psi_factorial, psi_falling
 from .poset import (
     CobwebCopy,
     Vertex,
@@ -53,17 +53,14 @@ def fibonomial_via_chains(n: int, k: int) -> int:
     """Fibonomial as the chain-count quotient: chains from a fixed level-k
     vertex to level n, divided by the chain count of one height-(n-k) copy.
 
-    The division is asserted exact; a remainder would mean a broken build.
+    Both are Fibonacci products, F_n * ... * F_{k+1} over (n-k)_F!, divided
+    factor by factor by ``_fib_quotient``; a remainder means a broken build.
     """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    m = n - k
-    q, r = _divmod(max_chains_from_fixed(k, n), psi_factorial(FIBONACCI, m))
-    if r:
-        raise ArithmeticError(f"inexact chain division for n={n}, k={k}")
-    return q
+    return _fib_quotient(n, n - k, f"inexact chain division for n={n}, k={k}")
 
 
 class ChainCountReport(Record):

@@ -98,20 +98,41 @@ def psi_falling(seq: PsiSequence, x: int, k: int) -> int:
     return _product([seq.values(m) for m in range(x, x - k, -1)])
 
 
+def _fib_quotient(n: int, k: int, inexact: str) -> int:
+    """F_n * ... * F_{n-k+1} / F_k! for 0 <= k <= n; a remainder raises ArithmeticError(inexact).
+
+    F_j divides F_m when j | m (Lucas: gcd(F_a, F_b) = F_gcd(a, b)), so each F_j, j = k down to 3, is
+    divided out of the highest F_m, j | m, that no larger j took; the F_j left over divide the rest.
+    """
+    top = [fib(m) for m in range(n - k + 1, n + 1)]  # top[i] = F_{n-k+1+i}, divided down in place
+    taken, rest, bad = bytearray(k), [], 0  # taken[i]: some F_j has been divided out of top[i]
+    for j in range(k, 2, -1):
+        i = k - 1 - n % j  # where the highest multiple of j, n - n % j, sits
+        while i >= 0 and taken[i]:
+            i -= j
+        if i < 0:
+            rest.append(fib(j))
+            continue
+        taken[i] = 1
+        top[i], r = divmod(top[i], fib(j))
+        bad |= r
+    q, r = _divmod(_product(top), _product(rest))
+    if r or bad:
+        raise ArithmeticError(inexact)
+    return q
+
+
 def fibonomial_def(n: int, k: int) -> int:
     """Fibonomial coefficient by its defining quotient of Fibonacci factorials.
 
-    Equals F_n! / (F_k! * F_{n-k}!); the division is asserted exact.
+    Equals F_n! / (F_k! * F_{n-k}!) = F_n * ... * F_{n-k+1} / F_k!.  ``_fib_quotient`` cancels each F_j
+    of F_k! against a multiple F_m first; each division's remainder is checked, so the result is exact.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if k > n:
         raise ValueError(f"fibonomial_def needs k <= n, got n={n}, k={k}")
-    q, r = _divmod(psi_falling(FIBONACCI, n, k), psi_factorial(FIBONACCI, k))
-    if r:
-        # cannot happen for the Fibonacci sequence; guards against a broken build
-        raise ArithmeticError(f"inexact division in fibonomial({n}, {k})")
-    return q
+    return _fib_quotient(n, k, f"inexact division in fibonomial({n}, {k})")
 
 
 REC_MAX_N = 1000  # the banded DP takes about 7 s at (1000, 500)

@@ -68,7 +68,10 @@ def from_linear(i: int) -> Vertex:
     s = bisect_right(_LEVEL_STARTS, i)  # the levels 1..s start at or below i
     while fib(s + 2) <= i:  # past the list, a level at a time
         s += 1
-    return Vertex(s, i - fib(s + 1) + 1)
+    v = Vertex.__new__(Vertex)  # 1 <= pos <= F_s by the level found: no __init__, whose check calls fib
+    set_field(v, "level", s)
+    set_field(v, "pos", i - fib(s + 1) + 1)
+    return v
 
 
 def leq(u: Vertex, v: Vertex) -> bool:

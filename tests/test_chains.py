@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cobweb import fib_core
 from cobweb.chains import (
     ORACLE_MAX_N,
     brute_force_max_chains,
@@ -71,6 +72,22 @@ def test_fibonomial_via_chains_values():
     assert fibonomial_via_chains(5, 1) == 5
     with pytest.raises(ValueError):
         fibonomial_via_chains(3, 4)
+
+
+def test_fibonomial_via_chains_equals_def_at_2000_1000():
+    assert fibonomial_via_chains(2000, 1000) == fibonomial_def(2000, 1000)
+
+
+def test_fibonomial_via_chains_refuses_an_inexact_division(monkeypatch):
+    real = fib_core.fib
+    # a copy's F_1000 is divided out of the fixed vertex's F_2000, so a wrong F_2000 leaves a remainder
+    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2000))
+    with pytest.raises(ArithmeticError, match=r"^inexact chain division for n=2000, k=1000$"):
+        fibonomial_via_chains(2000, 1000)
+    # at n=14, k=8 both multiples of 4 in 9..14 go to F_6 and F_5, so F_4 is left for the last division
+    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 4))
+    with pytest.raises(ArithmeticError, match=r"^inexact chain division for n=14, k=8$"):
+        fibonomial_via_chains(14, 8)
 
 
 def test_chain_division_identity():

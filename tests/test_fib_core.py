@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -286,6 +287,70 @@ def test_routes_agree_on_random_points(point):
     assert fibonomial_rec(n, k, "A") == want
     assert fibonomial_rec(n, k, "B") == want
     assert fibonomial_via_chains(n, k) == want
+
+
+def plain_quotient(n, k):
+    # oracle: builtin divmod of plain products of the loop's F_m, with no Lucas cancellation; only the
+    # factors F_{n-k+1..k} that numerator F_{n-k+1..n} and divisor F_{1..k} share are left out of both
+    low = max(k, n - k)
+    q, r = divmod(math.prod(FIBS[low + 1 : n + 1]), math.prod(FIBS[1 : n - low + 1]))
+    assert r == 0
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((400, 200))
+@example((397, 3))
+def test_cancelled_quotients_match_the_plain_quotient(point):
+    n, k = point
+    want = plain_quotient(n, k)
+    assert fibonomial_def(n, k) == want
+    assert fibonomial_via_chains(n, k) == want
+
+
+def test_cancelled_quotients_at_the_edges_of_k_and_the_table():
+    points = [(n, k) for n in range(41) for k in {0, 1, 2, 3, n - 1, n} if 0 <= k <= n]
+    points += [(n, k) for n in range(CAP - 2, CAP + 4) for k in (0, 1, 2, 3, n - 3, n - 2, n - 1, n)]
+    for n, k in points:
+        want = plain_quotient(n, k)
+        assert fibonomial_def(n, k) == want, (n, k)
+        assert fibonomial_via_chains(n, k) == want, (n, k)
+
+
+def test_fibonomial_def_pinned_at_2000_1000():
+    # recorded from the uncancelled falling product over F_1000!, divided in one step
+    value = fibonomial_def(2000, 1000)
+    assert value.bit_length() == 694242
+    digest = hashlib.sha256(format(value, "x").encode()).hexdigest()
+    assert digest == "994eaac6b24ebc4aed3896f365585d7db1e525c1a76ef9bd18d58f4cb9b2804d"
+
+
+def test_cancellation_leaves_one_small_division(monkeypatch):
+    # at (2000, 1000) the 244 F_j with no free multiple make 38 406 bits, against 346 kbit for F_1000!
+    divisions = []
+    real = fib_core._divmod
+
+    def recorded(a, b):
+        divisions.append((a.bit_length(), b.bit_length()))
+        return real(a, b)
+
+    monkeypatch.setattr(fib_core, "_divmod", recorded)
+    fibonomial_def(2000, 1000)
+    fibonomial_via_chains(2000, 1000)
+    assert divisions == [(732648, 38406)] * 2
+
+
+def test_fibonomial_def_refuses_an_inexact_division(monkeypatch):
+    real = fib_core.fib
+    # F_1000 is divided out of F_2000 on its own, so a wrong F_2000 leaves a remainder there
+    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2000))
+    with pytest.raises(ArithmeticError, match=r"^inexact division in fibonomial\(2000, 1000\)$"):
+        fibonomial_def(2000, 1000)
+    # at (14, 6) both multiples of 4 in 9..14 go to j = 6 and 5, so F_4 is left for the last division
+    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 4))
+    with pytest.raises(ArithmeticError, match=r"^inexact division in fibonomial\(14, 6\)$"):
+        fibonomial_def(14, 6)
 
 
 def full_table_rec(n, form):
