@@ -12,7 +12,7 @@ steps), which stay the oracles for the level routes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from math import prod
 from operator import add, index, mul
@@ -25,9 +25,10 @@ class TriangularMatrix:
     """Immutable square integer matrix with nothing below the diagonal.
 
     One the library builds on an ordinal sum of blocks has a level form ``(ends, diag, table)``:
-    block ends, the diagonal, and table[b][c] for c > b, every entry from block b to block c."""
+    block ends, the diagonal, and table[b][c] for c > b, every entry from block b to block c.
+    A library-built matrix builds its N^2 rows on their first read; level routes and text read none."""
 
-    __slots__ = ("rows", "_levels")
+    __slots__ = ("_rows", "_levels")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(map(index, row)) for row in rows)
@@ -37,17 +38,17 @@ class TriangularMatrix:
         for i, row in enumerate(rows):
             if any(row[:i]):
                 raise ValueError(f"nonzero entry below the diagonal in row {i}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_levels", None)  # rows alone: the dense kernels serve it
 
     # construction helpers -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: tuple, levels) -> "TriangularMatrix":
-        """Trusted path for library-built rows of ints, square and upper triangular by
-        construction: no ``__init__``.  ``levels`` is the level form, or None for none."""
+    def _trusted(cls, build, levels) -> "TriangularMatrix":
+        """Trusted path for library-built rows of ints, square and upper triangular by construction:
+        no ``__init__``.  ``build()`` returns them on their first read; ``levels`` is the form or None."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_rows", build)
         object.__setattr__(m, "_levels", levels)
         return m
 
@@ -55,7 +56,7 @@ class TriangularMatrix:
     def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
         """Staircase rows of a library-built level form; the O(L^2) table is coerced once."""
         form = (tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table))
-        return cls._trusted(tuple(_staircase(*form)), form)
+        return cls._trusted(partial(_staircase, *form), form)
 
     @classmethod
     def identity(cls, n: int) -> "TriangularMatrix":
@@ -64,8 +65,14 @@ class TriangularMatrix:
     # basic protocol --------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        if callable(self._rows):  # the one place library rows are built: once, on the first read
+            object.__setattr__(self, "_rows", tuple(self._rows()))
+        return self._rows
+
+    @property
+    def size(self) -> int:  # a level form's size is its last block end: no rows are built
+        return len(self.rows) if self._levels is None else max(self._levels[0], default=0)
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -79,12 +86,15 @@ class TriangularMatrix:
     def __setattr__(self, name, value) -> None:
         raise AttributeError("TriangularMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle: a level form is rebuilt as one, any other from its rows
+        return (type(self)._from_levels, self._levels) if self._levels else (type(self), (self.rows,))
+
     def level_form(self):
         """``(ends, diag, table)`` as the constructor that built the matrix set it, or None."""
         return self._levels
 
     def is_unitriangular(self) -> bool:
-        return all(self.rows[i][i] == 1 for i in range(self.size))
+        return all(row[i] == 1 for i, row in enumerate(self.rows))
 
     # exact arithmetic ------------------------------------------------------
 
@@ -164,7 +174,7 @@ def _entry_bound(rows) -> int:
     return max(max(map(max, rows), default=0), -min(map(min, rows), default=0), 1)
 
 
-_ZETA_CAP = 12  # cli.ZETA_MAX_LEVELS; the closures of L = 0..12, rows and edges, take 2.2 MB
+_ZETA_CAP = 12  # cli.ZETA_MAX_LEVELS; by tracemalloc the closures of L <= 12 take 0.08 MB, 1.9 MB with rows
 _ZETA: dict[int, tuple] = {}  # L -> (vertex count, edges, zeta_from_order(L)) for L <= _ZETA_CAP
 
 
@@ -174,8 +184,8 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     Row i is the int bitset of the vertices reachable from i; covers lead to
     later indices, so the rows close from the last vertex down.  Only the
     cover edges and the linear order are read, nothing of the staircase route:
-    the rows are expanded from the bitsets once, and the level form is read
-    off the bitsets by ``_reach_levels``.  A closure through ``_ZETA_CAP`` is
+    the rows are expanded from the bitsets on their first read, and the level
+    form is read off the bitsets by ``_reach_levels``.  A closure through ``_ZETA_CAP`` is
     kept with the edges it closed and returned again, the same immutable
     matrix, only to a truncation with the same vertex count and edges.
     """
@@ -190,8 +200,10 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     for i, r in enumerate(reach):
         if r >> i << i != r:
             raise ValueError(f"nonzero entry below the diagonal in row {i}")
-    digits = bytes.maketrans(b"01", b"\0\1")
-    rows = tuple(tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
+
+    def rows():  # only ever from the bitsets, never from the level form or the staircase
+        digits = bytes.maketrans(b"01", b"\0\1")
+        return (tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
     z = TriangularMatrix._trusted(rows, _reach_levels(reach))
     if max_level <= _ZETA_CAP:
         _ZETA[max_level] = n, t.edges, z

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -122,10 +124,34 @@ def level_built_matrices():
         yield from (m, e, eta(e), m * z, z * m, e * m, e.power(2), e.power(L + 1), z.power(3))
 
 
-def test_a_level_form_regenerates_its_rows():
-    for m in level_built_matrices():
-        assert _staircase(*m.level_form()) == list(m.rows)
+def test_a_level_form_regenerates_its_rows(monkeypatch):
+    monkeypatch.setattr(incidence, "_ZETA", {})  # fresh closures, whose rows no other test has read
+    for m in {id(m): m for m in level_built_matrices()}.values():  # e.power(1) is e: each object once
+        form = m.level_form()
+        # neither construction nor the level routes, the size or the text build the N^2 rows
+        m.size, m.to_dense_text(), m.to_csv(), m.to_json_text(), chain_count(m, 0, m.size - 1, 2)
+        assert callable(m._rows) and m.level_form() is form
+        rows = m.rows
+        assert _staircase(*form) == list(rows) and type(rows) is tuple
+        assert m.rows is rows and not callable(m._rows)  # built once, then kept
+        with pytest.raises(AttributeError):
+            m.rows = rows
         assert TriangularMatrix(m.rows).level_form() is None  # only the library's constructors set one
+
+
+def test_every_matrix_can_be_copied_and_pickled(monkeypatch):
+    monkeypatch.setattr(incidence, "_ZETA", {})  # fresh closures, whose rows no other test has read
+    broken, _ = closure_of_edited_edges(monkeypatch, 5, lambda edges: edges[1:])  # a closure with no form
+    monkeypatch.setattr(incidence, "truncate", truncate)
+    z = zeta_from_order(7)
+    for m in (zeta_explicit(5), mobius(z), eta(z).power(2), z, TriangularMatrix([[1, 2], [0, 3]]), broken):
+        form = m.level_form()
+        copies = copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))
+        for c in copies:
+            assert type(c) is TriangularMatrix and c.level_form() == form
+            assert callable(c._rows) == callable(m._rows) == (form is not None)  # a form is copied, not rows
+        assert all(c == m for c in copies)
+    assert broken.level_form() is None and broken == TriangularMatrix(broken.rows)
 
 
 def validated_closure(t):
@@ -174,6 +200,7 @@ def test_closure_of_broken_covers_matches_the_validating_constructor(L, data):
 
 def test_zeta_routes_stay_independent(monkeypatch, capsys):
     closed = [zeta_from_order(L) for L in range(13)]
+    want = [z.rows for z in closed]  # read before the patch
     real = incidence._staircase
 
     def broken(ends, diag, table):
@@ -184,7 +211,8 @@ def test_zeta_routes_stay_independent(monkeypatch, capsys):
     monkeypatch.setattr(incidence, "_ZETA", {})  # rebuilt, not read back from the table
     for L, z in enumerate(closed):
         again = zeta_from_order(L)
-        assert again.rows == z.rows and again.level_form() == z.level_form()
+        assert callable(again._rows)  # so its rows are built while the patch is active
+        assert again.rows == want[L] and again.level_form() == z.level_form()
     assert main(["crosscheck", "--max-n", "4"]) == 1
     assert "FAIL  zeta-two-routes: explicit zeta at L=1" in capsys.readouterr().out
 
