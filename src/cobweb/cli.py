@@ -96,17 +96,12 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    report = lib.chains.chain_count_report(args.k, args.n)
+    fields = lib.chains.chain_count_report(args.k, args.n).to_json_dict()
     if args.format == "json":
         import json
-        text = json.dumps({"schema": 1, **report.to_json_dict()}, indent=2) + "\n"
+        text = json.dumps({"schema": 1, **fields}, indent=2) + "\n"
     else:
-        fibo = lib.chains.fibonomial_via_chains(args.n, args.k)
-        text = (
-            f"k={report.from_level} n={report.to_level} "
-            f"per_source={decimal(report.per_source)} total={decimal(report.total)} "
-            f"fibonomial={decimal(fibo)}\n"
-        )
+        text = "k={k} n={n} per_source={per_source} total={total} fibonomial={fibonomial}\n".format(**fields)
     return _emit(text, args.out)
 
 

@@ -48,15 +48,10 @@ def fib(n: int) -> int:
     if n < len(_FIB):
         return _FIB[n]
     if n <= _FIB_CAP:
-        i = len(_FIB)
-        a, b = _FIB[i - 2], _FIB[i - 1]
-        ext = []
-        for _ in range(i, n + 1):
+        a, b = _FIB[-2], _FIB[-1]
+        for _ in range(len(_FIB), n + 1):
             a, b = b, a + b
-            ext.append(b)
-        # one slice assignment publishes the new entries; the table never
-        # shrinks, so a concurrent caller never reads past its end
-        _FIB[i : i + len(ext)] = ext
+            _FIB.append(b)
         return b
     bits = bin(n)[2:]
     a, b = 0, 1  # (F_m, F_{m+1}) for m = the bits of n read so far
@@ -69,13 +64,6 @@ def fib(n: int) -> int:
 
 FIBONACCI = PsiSequence("fibonacci", fib)
 NATURAL = PsiSequence("natural", lambda n: n)
-
-
-def geometric(q: int) -> PsiSequence:
-    """Sequence 1, q, q^2, ... (the value at 0 is 0 and never used)."""
-    if q < 1:
-        raise ValueError(f"geometric ratio must be >= 1, got {q}")
-    return PsiSequence(f"geometric({q})", lambda n: q ** (n - 1) if n >= 1 else 0)
 
 
 def psi_factorial(seq: PsiSequence, n: int) -> int:

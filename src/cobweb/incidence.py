@@ -83,8 +83,10 @@ class TriangularMatrix:
     def __repr__(self) -> str:
         return f"TriangularMatrix(size={self.size})"
 
-    def __setattr__(self, name, value) -> None:
+    def __setattr__(self, name, *value) -> None:
         raise AttributeError("TriangularMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):  # copy and pickle: a level form is rebuilt as one, any other from its rows
         return (type(self)._from_levels, self._levels) if self._levels else (type(self), (self.rows,))

@@ -5,6 +5,9 @@ symmetric sums).  Second kind: boxes may repeat (complete homogeneous
 sums).  Uniform, geometric and arithmetic weights specialize these to
 binomial coefficients, Gaussian coefficients and Stirling numbers, and
 the classical triangle recurrences are kept alongside as oracles.
+
+No positive integer weights give the fibonomials, of either kind: the
+k = 1 column forces w_1 = F_1 = 1 and then w_1 + w_2 = F_2 = 1, so w_2 = 0.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .fib_core import fibonomial_def
 from .record import Record
 
 BRUTE_MAX_N = 12
@@ -139,8 +141,8 @@ def pascal_binomial(n: int, k: int) -> int:
     return row[k]
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling set number by the triangle S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+def _stirling(n: int, k: int, weight) -> int:
+    """Row n, entry k of the triangle T(i, j) = weight(i, j) T(i-1, j) + T(i-1, j-1), T(0, 0) = 1."""
     if n == 0:
         return 1 if k == 0 else 0
     if k < 1 or k > n:
@@ -149,62 +151,16 @@ def stirling2(n: int, k: int) -> int:
     for i in range(1, n + 1):
         cur = [0] * (n + 1)
         for j in range(1, i + 1):
-            cur[j] = j * prev[j] + prev[j - 1]
+            cur[j] = weight(i, j) * prev[j] + prev[j - 1]
         prev = cur
     return prev[k]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling set number by the triangle S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    return _stirling(n, k, lambda i, j: j)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling cycle number by c(n, k) = (n-1) c(n-1, k) + c(n-1, k-1)."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 1 or k > n:
-        return 0
-    prev = [1] + [0] * n
-    for i in range(1, n + 1):
-        cur = [0] * (n + 1)
-        for j in range(1, i + 1):
-            cur[j] = (i - 1) * prev[j] + prev[j - 1]
-        prev = cur
-    return prev[k]
-
-
-# --- the fibonomial gap ------------------------------------------------------
-
-
-class WeightSearchResult(Record):
-    """Outcome of the exhaustive weighted-box search for fibonomials."""
-
-    __slots__ = ("kind", "max_depth", "survivors")
-
-    def __init__(self, kind: str, max_depth: int, survivors: tuple[WeightVector, ...]) -> None:
-        self._fill(kind, max_depth, survivors)
-
-
-def fibonomial_weight_search(max_len: int, max_entry: int, kind: str = "first") -> WeightSearchResult:
-    """Search every nondecreasing weight vector for one whose box counts
-    reproduce the fibonomials column by column.
-
-    The search extends prefixes entry by entry and records how long any
-    candidate survives.  No candidate passes length 1: the k = 1 column
-    forces w_1 + w_2 = F_2 = 1, so w_2 would have to be zero.  The result
-    documents that failure rather than asserting an answer.
-    """
-    if kind not in ("first", "second"):
-        raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
-    coef = c_first_kind if kind == "first" else s_second_kind
-    survivors: list[tuple[int, ...]] = [()]
-    depth = 0
-    for length in range(1, max_len + 1):
-        extended: list[tuple[int, ...]] = []
-        for prefix in survivors:
-            lo = prefix[-1] if prefix else 1
-            for x in range(lo, max_entry + 1):
-                cand = prefix + (x,)
-                if all(coef(cand, k) == fibonomial_def(length, k) for k in range(length + 1)):
-                    extended.append(cand)
-        if not extended:
-            break
-        survivors = extended
-        depth = length
-    return WeightSearchResult(kind, depth, tuple(WeightVector(s) for s in survivors if s))
+    return _stirling(n, k, lambda i, j: i - 1)

@@ -597,6 +597,7 @@ IMPORT_BUDGET = {
     ("hasse", "--levels", "3"): {"bigint", "cli", "fib_core", "poset", "record"},
     ("zeta", "--levels", "3"): {"bigint", "cli", "fib_core", "incidence", "poset", "record"},
     ("copies", "2", "1", "2"): {"bigint", "cli", "fib_core", "poset", "record"},
+    ("konvalina", "--weights", "1,2,4", "--k", "2"): {"bigint", "cli", "konvalina", "record"},
 }
 HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 MODULES_AT_EXIT = """

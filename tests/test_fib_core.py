@@ -19,7 +19,6 @@ from cobweb.fib_core import (
     fib,
     fibonomial_def,
     fibonomial_rec,
-    geometric,
     psi_binomial,
     psi_factorial,
     psi_falling,
@@ -168,12 +167,10 @@ def test_psi_binomial_returns_exact_rational():
 
 
 def test_geometric_sequence():
-    g = geometric(3)
+    g = PsiSequence("geometric(3)", lambda n: 3 ** (n - 1))
     assert [g(n) for n in range(1, 5)] == [1, 3, 9, 27]
     assert psi_factorial(g, 3) == 27
     assert psi_binomial(g, 4, 2) == 3 ** (2 * 2)  # q^(k(n-k))
-    with pytest.raises(ValueError):
-        geometric(0)
 
 
 def test_fibonacci_sequence_instance():

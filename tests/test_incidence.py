@@ -66,6 +66,15 @@ def test_matrix_is_immutable():
         m.rows[0][0] = 5
 
 
+def test_kept_closure_fields_cannot_be_deleted():
+    z = zeta_from_order(3)
+    size, form = z.size, z.level_form()
+    for name in ("_levels", "_rows", "rows"):
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert zeta_from_order(3) is z and z.size == size and z.level_form() is form
+
+
 def test_matrix_arithmetic():
     a = TriangularMatrix([[1, 2], [0, 1]])
     b = TriangularMatrix([[1, 3], [0, 1]])

@@ -13,7 +13,6 @@ from cobweb.konvalina import (
     WeightVector,
     brute_sum,
     c_first_kind,
-    fibonomial_weight_search,
     gaussian_binomial,
     pascal_binomial,
     s_second_kind,
@@ -168,9 +167,8 @@ def test_triangle_oracles_against_known_rows():
 
 def test_no_weight_vector_gives_fibonomials():
     # the k = 1 column pins w_1 = 1 and then demands w_1 + w_2 = F_2 = 1
-    for kind in ("first", "second"):
-        result = fibonomial_weight_search(6, 6, kind)
-        assert result.max_depth == 1
-        assert tuple(w.weights for w in result.survivors) == ((1,),)
-    for w2 in range(1, 7):
-        assert c_first_kind((1, w2), 1) != fibonomial_def(2, 1)
+    for coef in (c_first_kind, s_second_kind):
+        ones = [(w1,) for w1 in range(1, 7) if all(coef((w1,), k) == fibonomial_def(1, k) for k in range(2))]
+        assert ones == [(1,)]
+        for w1, w2 in combinations_with_replacement(range(1, 7), 2):
+            assert coef((w1, w2), 1) != fibonomial_def(2, 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cobweb.chains import chain_count_report, check_k1_degeneracy
 from cobweb.crosscheck import CrosscheckConfig
 from cobweb.fib_core import FIBONACCI, PsiSequence, fib
-from cobweb.konvalina import WeightVector, fibonomial_weight_search
+from cobweb.konvalina import WeightVector
 from cobweb.paths_fences import FencePoset
 from cobweb.poset import CobwebCopy, Vertex, level_size, truncate
 
@@ -58,7 +58,6 @@ RECORDS = {
     "ChainCountReport": lambda: chain_count_report(2, 5),
     "K1DegeneracyReport": lambda: check_k1_degeneracy(4),
     "WeightVector": lambda: WeightVector((1, 2, 2)),
-    "WeightSearchResult": lambda: fibonomial_weight_search(2, 3),
     "FencePoset": lambda: FencePoset(4, up_first=False),
 }
 
