@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from .bigint import decimal
 from .fib_core import FIBONACCI, _fib_quotient, fib, fibonomial_def, psi_factorial, psi_falling
-from .poset import (
-    CobwebCopy,
-    Vertex,
-    count_copies_rooted,
-    enumerate_copies_rooted,
-    level_size,
-    to_linear,
-    truncate,
-)
+from .poset import Vertex, level_size, to_linear, truncate
 from .record import Record
 
 ORACLE_MAX_N = 8  # 8_F! = 65520 chains; DFS stays well under a second
@@ -154,25 +146,3 @@ def brute_force_max_chains(k: int, n: int, source: Vertex | None = None) -> int:
 
     sources = [source] if source is not None else list(t.vertices_at(k))
     return sum(walk(to_linear(v)) for v in sources)
-
-
-def greedy_disjoint_copies(root: Vertex, m: int, copy_limit: int = 200_000) -> list[CobwebCopy]:
-    """One chain-disjoint family of prototype copies under ``root``, greedily.
-
-    Demonstration only: copies are taken in enumeration order whenever
-    their maximal chains avoid every chain already claimed.  The family
-    found can fall short of the fibonomial; nothing here claims maximality
-    or that a perfect family exists.
-    """
-    total = count_copies_rooted(root, m)
-    if total > copy_limit:
-        raise ValueError(f"{total} copies exceed the limit {copy_limit}")
-    claimed: set[tuple[Vertex, ...]] = set()
-    family: list[CobwebCopy] = []
-    for copy in enumerate_copies_rooted(root, m):
-        chains = list(copy.chains())
-        if any(c in claimed for c in chains):
-            continue
-        claimed.update(chains)
-        family.append(copy)
-    return family

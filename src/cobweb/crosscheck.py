@@ -25,10 +25,9 @@ SHOW_MAX = 60  # a value printed in a FAIL row is cut to its head and tail beyon
 
 
 class CrosscheckConfig(Record):
-    """Bounds of the crosscheck table, checked when it is made; unlike the other records, mutable."""
+    """Bounds of the crosscheck table, checked when it is made."""
 
     __slots__ = ("max_n", "oracle_max_n")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, max_n: int = 10, oracle_max_n: int = 7) -> None:
         if max_n < 1 or oracle_max_n < 1:

@@ -79,11 +79,6 @@ def leq(u: Vertex, v: Vertex) -> bool:
     return u == v or u.level < v.level
 
 
-def covers(u: Vertex, v: Vertex) -> bool:
-    """v covers u iff v is one level up (inter-level edges are complete)."""
-    return v.level == u.level + 1
-
-
 class CobwebTruncation(Record):
     """All levels 0..max_level with the complete bipartite cover edges.
 
@@ -164,15 +159,6 @@ def to_dot(t: CobwebTruncation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(t: CobwebTruncation) -> dict:
-    """JSON-ready form: {"max_level": L, "vertices": N, "edges": [[i, j], ...]}."""
-    return {
-        "max_level": t.max_level,
-        "vertices": t.vertex_count,
-        "edges": [[i, j] for i, j in t.edges],
-    }
-
-
 class CobwebCopy(Record):
     """A copy of the height-m prototype rooted at ``root``.
 
@@ -193,15 +179,6 @@ class CobwebCopy(Record):
                 raise ValueError(f"subset {i} must hold {want} distinct vertices")
             if any(v.level != k + i for v in subset):
                 raise ValueError(f"subset {i} must live on level {k + i}")
-
-    @property
-    def m(self) -> int:
-        return len(self.level_subsets)
-
-    def chains(self) -> Iterator[tuple[Vertex, ...]]:
-        """All maximal chains of the copy, root included; there are m_F! of them."""
-        for tail in product(*self.level_subsets):
-            yield (self.root,) + tail
 
 
 def count_copies_rooted(root: Vertex, m: int) -> int:

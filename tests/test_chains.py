@@ -9,14 +9,13 @@ from cobweb.chains import (
     chain_count_report,
     check_k1_degeneracy,
     fibonomial_via_chains,
-    greedy_disjoint_copies,
     max_chains_from_fixed,
     max_chains_from_root,
     max_chains_level_to_level,
     recurrence_class_split,
 )
 from cobweb.fib_core import FIBONACCI, fib, fibonomial_def, psi_factorial
-from cobweb.poset import ROOT, Vertex, level_size
+from cobweb.poset import ROOT, Vertex, enumerate_copies_rooted, level_size
 
 
 def test_dfs_oracle_frozen_values():
@@ -170,39 +169,24 @@ def test_dfs_source_level_mismatch():
         brute_force_max_chains(2, 4, Vertex(3, 1))
 
 
-def test_greedy_family_when_each_copy_is_one_chain():
-    # heights 1 and 2 give single-chain copies, so greedy recovers the full count
-    root = Vertex(2, 1)
-    fam1 = greedy_disjoint_copies(root, 1)
-    assert len(fam1) == fibonomial_def(3, 2) == 2
-    fam2 = greedy_disjoint_copies(root, 2)
-    assert len(fam2) == fibonomial_def(4, 2) == 6
-    root3 = Vertex(3, 2)
-    assert len(greedy_disjoint_copies(root3, 2)) == fibonomial_def(5, 3) == 15
+def test_copies_of_height_one_or_two_are_single_disjoint_chains():
+    # levels 1 and 2 hold one vertex each, so every level subset of such a copy has size 1: the copy is one
+    # chain, distinct copies share no chain, and they number the fibonomial
+    for root, m, n, want in ((Vertex(2, 1), 1, 3, 2), (Vertex(2, 1), 2, 4, 6), (Vertex(3, 2), 2, 5, 15)):
+        copies = list(enumerate_copies_rooted(root, m))
+        assert all(len(subset) == 1 for copy in copies for subset in copy.level_subsets)
+        chains = {tuple(v for (v,) in copy.level_subsets) for copy in copies}
+        assert len(chains) == len(copies) == fibonomial_def(n, root.level) == want
 
 
-def test_greedy_family_chains_are_disjoint():
-    family = greedy_disjoint_copies(Vertex(2, 1), 3)
-    seen = set()
-    for copy in family:
-        for chain in copy.chains():
-            assert chain not in seen
-            seen.add(chain)
-            assert chain[0] == Vertex(2, 1)
-            assert [v.level for v in chain] == [2, 3, 4, 5]
-
-
-def test_greedy_family_can_fall_short_of_the_fibonomial():
-    # height 3 copies hold 2 chains each, but each (level-3, level-4) prefix
-    # feeds 5 chains, an odd number: no family of two-chain copies can cover
-    # them, so greedy stalls at 12 of the 30 chains' worth against a count of 15
-    family = greedy_disjoint_copies(Vertex(2, 1), 3)
-    assert len(family) == 12 < fibonomial_def(5, 2) == 15
-
-
-def test_greedy_copy_limit():
-    with pytest.raises(ValueError):
-        greedy_disjoint_copies(Vertex(2, 1), 3, copy_limit=3)
+def test_no_disjoint_family_of_height_three_copies_covers_every_chain():
+    # at Vertex(2, 1) a copy fixes one (level-3, level-4) prefix and 2 of the 5 level-5 vertices, so it holds
+    # 0 or 2 of the 5 chains through each prefix: an odd count that no chain-disjoint family covers, although
+    # (5, 2)_F = 15 copies of 2 chains each would match the 30 chains by count
+    copies = list(enumerate_copies_rooted(Vertex(2, 1), 3))
+    assert {tuple(map(len, copy.level_subsets)) for copy in copies} == {(1, 1, fib(3))}
+    assert level_size(5) == 5  # odd, so the chains through a prefix cannot be split into pairs
+    assert max_chains_from_fixed(2, 5) == 30 == fib(3) * fibonomial_def(5, 2)
 
 
 def test_fibonomial_via_chains_rejects_negative_arguments():

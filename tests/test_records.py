@@ -59,6 +59,7 @@ RECORDS = {
     "K1DegeneracyReport": lambda: check_k1_degeneracy(4),
     "WeightVector": lambda: WeightVector((1, 2, 2)),
     "FencePoset": lambda: FencePoset(4, up_first=False),
+    "CrosscheckConfig": lambda: CrosscheckConfig(12, 5),
 }
 
 
@@ -89,16 +90,16 @@ def test_records_read_and_freeze_as_frozen_dataclasses(name):
     assert not hasattr(record, "__dict__")
 
 
-def test_record_defaults_and_the_mutable_config():
+def test_record_defaults_and_the_frozen_config():
     assert FencePoset(4) == FencePoset(4, True) != FencePoset(4, False)
     assert repr(FencePoset(3)) == "FencePoset(n=3, up_first=True)"
     cfg = CrosscheckConfig()
     assert repr(cfg) == "CrosscheckConfig(max_n=10, oracle_max_n=7)"
     assert cfg == CrosscheckConfig(10, 7) == CrosscheckConfig(oracle_max_n=7)
-    cfg.oracle_max_n = 3  # the config stays mutable and, like a mutable dataclass, unhashable
-    assert cfg == CrosscheckConfig(10, 3)
-    with pytest.raises(TypeError):
-        hash(cfg)
+    # a bound past the DFS oracle's, set after the checks, would come back as FAIL rows: it cannot be set
+    with pytest.raises(AttributeError):
+        cfg.oracle_max_n = 12
+    assert cfg == CrosscheckConfig(10, 7)
     assert FIBONACCI(10) == 55 and FIBONACCI.name == "fibonacci"
 
 
