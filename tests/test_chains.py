@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -169,24 +170,50 @@ def test_dfs_source_level_mismatch():
         brute_force_max_chains(2, 4, Vertex(3, 1))
 
 
-def test_copies_of_height_one_or_two_are_single_disjoint_chains():
-    # levels 1 and 2 hold one vertex each, so every level subset of such a copy has size 1: the copy is one
-    # chain, distinct copies share no chain, and they number the fibonomial
+def copy_chains(copy):
+    # the maximal chains of a copy: the root, then one vertex of each level subset
+    return [(copy.root,) + tail for tail in product(*copy.level_subsets)]
+
+
+def greedy_family(root, m):
+    # take copies in enumeration order whenever their chains avoid every chain already claimed
+    claimed, family = set(), []
+    for copy in enumerate_copies_rooted(root, m):
+        chains = copy_chains(copy)
+        if claimed.isdisjoint(chains):
+            claimed.update(chains)
+            family.append(copy)
+    return family
+
+
+def test_greedy_family_when_each_copy_is_one_chain():
+    # levels 1 and 2 hold one vertex each, so every level subset of a height-1 or height-2 copy has size 1:
+    # the copy is one chain, distinct copies share no chain, and greedy keeps all of them
     for root, m, n, want in ((Vertex(2, 1), 1, 3, 2), (Vertex(2, 1), 2, 4, 6), (Vertex(3, 2), 2, 5, 15)):
         copies = list(enumerate_copies_rooted(root, m))
         assert all(len(subset) == 1 for copy in copies for subset in copy.level_subsets)
-        chains = {tuple(v for (v,) in copy.level_subsets) for copy in copies}
-        assert len(chains) == len(copies) == fibonomial_def(n, root.level) == want
+        assert len(greedy_family(root, m)) == len(copies) == fibonomial_def(n, root.level) == want
 
 
-def test_no_disjoint_family_of_height_three_copies_covers_every_chain():
-    # at Vertex(2, 1) a copy fixes one (level-3, level-4) prefix and 2 of the 5 level-5 vertices, so it holds
-    # 0 or 2 of the 5 chains through each prefix: an odd count that no chain-disjoint family covers, although
-    # (5, 2)_F = 15 copies of 2 chains each would match the 30 chains by count
+def test_greedy_family_chains_are_disjoint():
+    seen = set()
+    for copy in greedy_family(Vertex(2, 1), 3):
+        for chain in copy_chains(copy):
+            assert chain not in seen
+            seen.add(chain)
+            assert chain[0] == Vertex(2, 1)
+            assert [v.level for v in chain] == [2, 3, 4, 5]
+
+
+def test_greedy_family_can_fall_short_of_the_fibonomial():
+    # at Vertex(2, 1) a height-3 copy fixes one (level-3, level-4) prefix and 2 of the 5 level-5 vertices, so it
+    # holds 0 or 2 of the 5 chains through each prefix: an odd count that no chain-disjoint family covers,
+    # although (5, 2)_F = 15 copies of 2 chains each would match the 30 chains by count; greedy stalls at 12
     copies = list(enumerate_copies_rooted(Vertex(2, 1), 3))
     assert {tuple(map(len, copy.level_subsets)) for copy in copies} == {(1, 1, fib(3))}
-    assert level_size(5) == 5  # odd, so the chains through a prefix cannot be split into pairs
+    assert level_size(5) == 5
     assert max_chains_from_fixed(2, 5) == 30 == fib(3) * fibonomial_def(5, 2)
+    assert len(greedy_family(Vertex(2, 1), 3)) == 12 < fibonomial_def(5, 2) == 15
 
 
 def test_fibonomial_via_chains_rejects_negative_arguments():

@@ -295,6 +295,13 @@ def test_cobweb_copy_validation():
         CobwebCopy(root, ((Vertex(3, 1), Vertex(3, 2)),))
 
 
+def test_copy_chain_count_is_prototype_factorial():
+    # a height-3 copy holds 3_F! = 2 maximal chains: one vertex from each of its level subsets
+    for copy in enumerate_copies_rooted(Vertex(2, 1), 3):
+        assert math.prod(map(len, copy.level_subsets)) == 2
+        assert len(set(product(*copy.level_subsets))) == 2
+
+
 def test_to_dot_structure():
     dot1 = to_dot(truncate(1))
     assert dot1.count("label=") == 2
