@@ -45,8 +45,8 @@ def fibonomial_via_chains(n: int, k: int) -> int:
     """Fibonomial as the chain-count quotient: chains from a fixed level-k
     vertex to level n, divided by the chain count of one height-(n-k) copy.
 
-    Both are Fibonacci products, F_n * ... * F_{k+1} over (n-k)_F!, divided
-    factor by factor by ``_fib_quotient``; a remainder means a broken build.
+    Both are Fibonacci products, F_n * ... * F_{k+1} over (n-k)_F!; the quotient is def's primitive-part
+    product ``_fib_quotient(n, n - k)``, where a sieve remainder means a broken build.
     """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")

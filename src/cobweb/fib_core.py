@@ -6,9 +6,9 @@ Everything is exact: plain Python integers throughout, with
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
-from .bigint import _divmod, _product
+from .bigint import _product
 from .record import Record, set_field
 
 
@@ -86,35 +86,35 @@ def psi_falling(seq: PsiSequence, x: int, k: int) -> int:
     return _product([seq.values(m) for m in range(x, x - k, -1)])
 
 
-def _fib_quotient(n: int, k: int, inexact: str) -> int:
-    """F_n * ... * F_{n-k+1} / F_k! for 0 <= k <= n; a remainder raises ArithmeticError(inexact).
+_PRIM = [0, 1, 1]  # _PRIM[d] = P_d, the primitive part of F_d, grown on demand up to _FIB_CAP
 
-    F_j divides F_m when j | m (Lucas: gcd(F_a, F_b) = F_gcd(a, b)), so each F_j, j = k down to 3, is
-    divided out of the highest F_m, j | m, that no larger j took; the F_j left over divide the rest.
+
+def _fib_quotient(n: int, k: int, inexact: str) -> int:
+    """F_n! / (F_k! * F_{n-k}!) for 0 <= k <= n, with no big division; a remainder raises ArithmeticError(inexact).
+
+    F_m is the product of the primitive parts P_d, d | m (Knuth & Wilf 1989), so F_n! = prod P_d^floor(n/d)
+    and the quotient is the product of the P_d whose e_d = floor(n/d) - floor(k/d) - floor((n-k)/d) is 1.
     """
-    top = [fib(m) for m in range(n - k + 1, n + 1)]  # top[i] = F_{n-k+1+i}, divided down in place
-    taken, rest, bad = bytearray(k), [], 0  # taken[i]: some F_j has been divided out of top[i]
-    for j in range(k, 2, -1):
-        i = k - 1 - n % j  # where the highest multiple of j, n - n % j, sits
-        while i >= 0 and taken[i]:
-            i -= j
-        if i < 0:
-            rest.append(fib(j))
-            continue
-        taken[i] = 1
-        top[i], r = divmod(top[i], fib(j))
-        bad |= r
-    q, r = _divmod(_product(top), _product(rest))
-    if r or bad:
-        raise ArithmeticError(inexact)
-    return q
+    parts, lo = _PRIM, len(_PRIM)
+    if lo <= n:  # sieve P_lo..P_n: F_m, divided in place by P_d for each d | m, d >= 3 ascending
+        new = [fib(m) for m in range(lo, n + 1)]
+        for d in range(3, n + 1):  # every proper divisor of d is out of F_d by its turn, leaving P_d
+            p = parts[d] if d < lo else new[d - lo]
+            for m in range(max(2 * d, -(-lo // d) * d), n + 1, d):
+                new[m - lo], r = divmod(new[m - lo], p)
+                if r:
+                    raise ArithmeticError(inexact)
+        kept = new[: max(_FIB_CAP + 1 - lo, 0)]  # parts above the cap serve this call only
+        parts[lo : lo + len(kept)] = kept  # one slice assignment publishes a whole checked growth, never shrinks
+        parts = parts + new[len(kept) :]
+    return _product([parts[d] for d in range(3, n + 1) if n // d - k // d - (n - k) // d])
 
 
 def fibonomial_def(n: int, k: int) -> int:
-    """Fibonomial coefficient by its defining quotient of Fibonacci factorials.
+    """Fibonomial coefficient by its defining quotient of Fibonacci factorials, F_n! / (F_k! * F_{n-k}!).
 
-    Equals F_n! / (F_k! * F_{n-k}!) = F_n * ... * F_{n-k+1} / F_k!.  ``_fib_quotient`` cancels each F_j
-    of F_k! against a multiple F_m first; each division's remainder is checked, so the result is exact.
+    ``_fib_quotient`` evaluates it exactly as a product of Fibonacci primitive parts, each to the power 0
+    or 1; the sieve that finds the parts checks every remainder, and no big number is divided.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")

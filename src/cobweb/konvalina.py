@@ -13,8 +13,8 @@ k = 1 column forces w_1 = F_1 = 1 and then w_1 + w_2 = F_2 = 1, so w_2 = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator
 
 from .record import Record
 

@@ -9,8 +9,8 @@ ideal count yields.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import combinations, compress
-from typing import Iterator, Sequence
 
 from .fib_core import fib
 from .record import Record

@@ -12,9 +12,9 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from functools import total_ordering
 from itertools import combinations, product
-from typing import Iterator
 
 from .fib_core import fib
 from .record import Record, set_field

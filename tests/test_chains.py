@@ -80,11 +80,12 @@ def test_fibonomial_via_chains_equals_def_at_2000_1000():
 
 def test_fibonomial_via_chains_refuses_an_inexact_division(monkeypatch):
     real = fib_core.fib
-    # a copy's F_1000 is divided out of the fixed vertex's F_2000, so a wrong F_2000 leaves a remainder
+    # on a fresh table the sieve sees the wrong F_2000, and P_4 = F_4 = 3 leaves a remainder in it
+    monkeypatch.setattr(fib_core, "_PRIM", [0, 1, 1])
     monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2000))
     with pytest.raises(ArithmeticError, match=r"^inexact chain division for n=2000, k=1000$"):
         fibonomial_via_chains(2000, 1000)
-    # at n=14, k=8 both multiples of 4 in 9..14 go to F_6 and F_5, so F_4 is left for the last division
+    # a wrong F_4 = 4 is taken as P_4, which leaves a remainder in F_8 = 21
     monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 4))
     with pytest.raises(ArithmeticError, match=r"^inexact chain division for n=14, k=8$"):
         fibonomial_via_chains(14, 8)

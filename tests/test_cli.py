@@ -618,6 +618,16 @@ def test_subcommands_import_only_what_they_run(argv):
     assert modules.isdisjoint(HEAVY_MODULES)
 
 
+@pytest.mark.parametrize(
+    "argv", sorted(IMPORT_BUDGET) + [("fibonomial", "6", "3", "--method", "all"), ("chains", "2", "5")], ids=argv_id
+)
+def test_subcommands_load_no_typing(argv):
+    # -S: site start-up may import typing on its own, which would hide an import by cobweb; only crosscheck uses it
+    proc = subprocess.run([sys.executable, "-S", "-c", MODULES_AT_EXIT, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout
+    assert "typing" not in proc.stderr.split()
+
+
 def test_no_library_module_imports_dataclasses():
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -287,7 +287,7 @@ def test_routes_agree_on_random_points(point):
 
 
 def plain_quotient(n, k):
-    # oracle: builtin divmod of plain products of the loop's F_m, with no Lucas cancellation; only the
+    # oracle: builtin divmod of plain products of the loop's F_m, with no primitive parts; only the
     # factors F_{n-k+1..k} that numerator F_{n-k+1..n} and divisor F_{1..k} share are left out of both
     low = max(k, n - k)
     q, r = divmod(math.prod(FIBS[low + 1 : n + 1]), math.prod(FIBS[1 : n - low + 1]))
@@ -323,31 +323,65 @@ def test_fibonomial_def_pinned_at_2000_1000():
     assert digest == "994eaac6b24ebc4aed3896f365585d7db1e525c1a76ef9bd18d58f4cb9b2804d"
 
 
-def test_cancellation_leaves_one_small_division(monkeypatch):
-    # at (2000, 1000) the 244 F_j with no free multiple make 38 406 bits, against 346 kbit for F_1000!
-    divisions = []
-    real = fib_core._divmod
+def test_def_and_chains_divide_no_big_number(monkeypatch):
+    # on a fresh table the sieve runs too; each of its divisions is a builtin divmod of some F_m or less
+    monkeypatch.setattr(fib_core, "_PRIM", [0, 1, 1])
+    big, small = [], []
+    real = bigint._divmod
+    monkeypatch.setattr(bigint, "_divmod", lambda a, b: big.append((a, b)) or real(a, b))
+    monkeypatch.setattr(fib_core, "divmod", lambda a, b: small.append((a, b)) or divmod(a, b), raising=False)
+    assert fibonomial_def(2000, 1000) == fibonomial_via_chains(2000, 1000)
+    assert big == [] and not hasattr(fib_core, "_divmod")
+    assert small and max(a.bit_length() for a, _ in small) == FIBS[2000].bit_length()
 
-    def recorded(a, b):
-        divisions.append((a.bit_length(), b.bit_length()))
-        return real(a, b)
 
-    monkeypatch.setattr(fib_core, "_divmod", recorded)
-    fibonomial_def(2000, 1000)
-    fibonomial_via_chains(2000, 1000)
-    assert divisions == [(732648, 38406)] * 2
+def fresh_table(monkeypatch, n=None):
+    # an empty kept table of primitive parts, or one grown by the real sieve to n
+    monkeypatch.setattr(fib_core, "_PRIM", [0, 1, 1])
+    if n is not None:
+        fibonomial_def(n, 0)
+        assert len(fib_core._PRIM) == min(n, CAP) + 1
+    return fib_core._PRIM
 
 
 def test_fibonomial_def_refuses_an_inexact_division(monkeypatch):
     real = fib_core.fib
-    # F_1000 is divided out of F_2000 on its own, so a wrong F_2000 leaves a remainder there
+    # P_4 = F_4 = 3 divides F_2000, so the sieve leaves a remainder in a wrong F_2000
+    fresh_table(monkeypatch)
     monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2000))
     with pytest.raises(ArithmeticError, match=r"^inexact division in fibonomial\(2000, 1000\)$"):
         fibonomial_def(2000, 1000)
-    # at (14, 6) both multiples of 4 in 9..14 go to j = 6 and 5, so F_4 is left for the last division
+    # a wrong F_4 = 4 is taken as P_4, which leaves a remainder in F_8 = 21
     monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 4))
     with pytest.raises(ArithmeticError, match=r"^inexact division in fibonomial\(14, 6\)$"):
         fibonomial_def(14, 6)
+
+
+PRIM_POINTS = [(0, 0), (1, 1), (2, 1), (3, 1), (12, 6), (40, 17), (400, 200), (1001, 3), (1001, 998), (1002, 501)]
+PRIM_POINTS += [(CAP - 1, 2), (CAP, CAP - 3), (CAP + 1, 1), (CAP + 5, CAP + 2)]
+
+
+@pytest.mark.parametrize("grown", [None, 401, 1001, CAP, 2 * CAP], ids=lambda n: f"grown_to_{n}")
+def test_quotients_do_not_depend_on_the_primitive_part_table(monkeypatch, grown):
+    fresh_table(monkeypatch, grown)
+    for n, k in PRIM_POINTS:
+        want = plain_quotient(n, k)
+        assert fibonomial_def(n, k) == want, (grown, n, k)
+        assert fibonomial_via_chains(n, n - k) == want, (grown, n, k)
+    assert len(fib_core._PRIM) == CAP + 1  # filled to the cap, never past it
+
+
+def test_a_growth_that_raises_leaves_the_table_as_it_was(monkeypatch):
+    real = fib_core.fib
+    for grown, bad in ((None, 152), (401, 1000), (1001, CAP), (CAP, CAP + 4), (None, CAP + 4)):
+        table = fresh_table(monkeypatch, grown)
+        before = list(table)
+        # 4 | bad, so P_4 = F_4 = 3 divides F_bad and the sieve finds the wrong one
+        monkeypatch.setattr(fib_core, "fib", lambda i, bad=bad: real(i) + (i == bad))
+        with pytest.raises(ArithmeticError):
+            fibonomial_def(bad + 1, 2)
+        assert fib_core._PRIM is table and table == before, (grown, bad)
+        monkeypatch.setattr(fib_core, "fib", real)
 
 
 def full_table_rec(n, form):
