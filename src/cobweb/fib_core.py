@@ -89,32 +89,44 @@ def psi_falling(seq: PsiSequence, x: int, k: int) -> int:
 _PRIM = [0, 1, 1]  # _PRIM[d] = P_d, the primitive part of F_d, grown on demand up to _FIB_CAP
 
 
+def _sieve(lo: int, hi: int, top: int, parts: list[int], inexact: str) -> list[int]:
+    """F_lo..F_hi, each F_m divided by P_d for every d | m, 3 <= d <= top, d < m; parts gives P_d for d < lo.
+
+    In ascending d, P_d is what is left of F_d at its turn. A remainder raises ArithmeticError(inexact).
+    """
+    new = [fib(m) for m in range(lo, hi + 1)]
+    for d in range(3, top + 1):
+        p = parts[d] if d < lo else new[d - lo]
+        for m in range(max(2 * d, -(-lo // d) * d), hi + 1, d):
+            new[m - lo], r = divmod(new[m - lo], p)
+            if r:
+                raise ArithmeticError(inexact)
+    return new
+
+
 def _fib_quotient(n: int, k: int, inexact: str) -> int:
-    """F_n! / (F_k! * F_{n-k}!) for 0 <= k <= n, with no big division; a remainder raises ArithmeticError(inexact).
+    """F_n! / (F_k! * F_{n-k}!) for 0 <= k <= n, dividing single F_m only; a remainder raises ArithmeticError(inexact).
 
     F_m is the product of the primitive parts P_d, d | m (Knuth & Wilf 1989), so F_n! = prod P_d^floor(n/d)
     and the quotient is the product of the P_d whose e_d = floor(n/d) - floor(k/d) - floor((n-k)/d) is 1.
+    Above _FIB_CAP only the P_d, d <= j = min(k, n-k), are sieved. A larger d has e_d = 1 just when it divides
+    an m with n-j < m <= n, and then only one, so those P_d multiply to the window's F_m, each sieved to d <= j.
     """
+    j = min(k, n - k)
+    top = n if n <= _FIB_CAP else j
     parts, lo = _PRIM, len(_PRIM)
-    if lo <= n:  # sieve P_lo..P_n: F_m, divided in place by P_d for each d | m, d >= 3 ascending
-        new = [fib(m) for m in range(lo, n + 1)]
-        for d in range(3, n + 1):  # every proper divisor of d is out of F_d by its turn, leaving P_d
-            p = parts[d] if d < lo else new[d - lo]
-            for m in range(max(2 * d, -(-lo // d) * d), n + 1, d):
-                new[m - lo], r = divmod(new[m - lo], p)
-                if r:
-                    raise ArithmeticError(inexact)
-        kept = new[: max(_FIB_CAP + 1 - lo, 0)]  # parts above the cap serve this call only
-        parts[lo : lo + len(kept)] = kept  # one slice assignment publishes a whole checked growth, never shrinks
-        parts = parts + new[len(kept) :]
-    return _product([parts[d] for d in range(3, n + 1) if n // d - k // d - (n - k) // d])
+    if lo <= top:  # parts above the cap serve this call only
+        parts = parts[:lo] + _sieve(lo, top, top, parts, inexact)
+        _PRIM[lo : min(top, _FIB_CAP) + 1] = parts[lo : _FIB_CAP + 1]  # publishes a whole checked growth, never shrinks
+    quotient = [parts[d] for d in range(3, top + 1) if n // d - k // d - (n - k) // d]
+    return _product(quotient + _sieve(n - j + 1, n, j, parts, inexact) if top < n else quotient)
 
 
 def fibonomial_def(n: int, k: int) -> int:
     """Fibonomial coefficient by its defining quotient of Fibonacci factorials, F_n! / (F_k! * F_{n-k}!).
 
     ``_fib_quotient`` evaluates it exactly as a product of Fibonacci primitive parts, each to the power 0
-    or 1; the sieve that finds the parts checks every remainder, and no big number is divided.
+    or 1; the sieve that finds the parts checks every remainder, and no product is ever divided.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")

@@ -361,7 +361,7 @@ PRIM_POINTS = [(0, 0), (1, 1), (2, 1), (3, 1), (12, 6), (40, 17), (400, 200), (1
 PRIM_POINTS += [(CAP - 1, 2), (CAP, CAP - 3), (CAP + 1, 1), (CAP + 5, CAP + 2)]
 
 
-@pytest.mark.parametrize("grown", [None, 401, 1001, CAP, 2 * CAP], ids=lambda n: f"grown_to_{n}")
+@pytest.mark.parametrize("grown", [None, 401, 1001, CAP], ids=lambda n: f"grown_to_{n}")
 def test_quotients_do_not_depend_on_the_primitive_part_table(monkeypatch, grown):
     fresh_table(monkeypatch, grown)
     for n, k in PRIM_POINTS:
@@ -373,15 +373,67 @@ def test_quotients_do_not_depend_on_the_primitive_part_table(monkeypatch, grown)
 
 def test_a_growth_that_raises_leaves_the_table_as_it_was(monkeypatch):
     real = fib_core.fib
-    for grown, bad in ((None, 152), (401, 1000), (1001, CAP), (CAP, CAP + 4), (None, CAP + 4)):
+    # the first three grow the table; above the cap only the window n-4 < m <= n is sieved, by P_3 and P_4
+    for grown, bad in ((None, 152), (401, 1000), (1001, CAP - 4), (CAP, CAP + 4), (4, CAP + 4)):
         table = fresh_table(monkeypatch, grown)
         before = list(table)
         # 4 | bad, so P_4 = F_4 = 3 divides F_bad and the sieve finds the wrong one
         monkeypatch.setattr(fib_core, "fib", lambda i, bad=bad: real(i) + (i == bad))
         with pytest.raises(ArithmeticError):
-            fibonomial_def(bad + 1, 2)
+            fibonomial_def(bad + 1, 4)
         assert fib_core._PRIM is table and table == before, (grown, bad)
         monkeypatch.setattr(fib_core, "fib", real)
+
+
+def window_quotient(n, k):
+    # oracle: the falling product of the window n-j < m <= n over F_j!, j = min(k, n-k), by builtin divmod
+    j = min(k, n - k)
+    q, r = divmod(math.prod(fib(m) for m in range(n - j + 1, n + 1)), math.prod(FIBS[1 : j + 1]))
+    assert r == 0
+    return q
+
+
+def test_above_the_cap_the_cost_follows_min_k_n_minus_k(monkeypatch):
+    # a sieve to n would make about n ln n divisions; the window sieve makes about j ln j + j
+    fresh_table(monkeypatch)
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        if len(calls) > 100:
+            raise AssertionError("over the division budget")
+        return divmod(a, b)
+
+    monkeypatch.setattr(fib_core, "divmod", counted, raising=False)
+    n = 10**5
+    assert fibonomial_def(n, 0) == fibonomial_def(n, n) == 1
+    assert fibonomial_def(n, 1) == fibonomial_def(n, n - 1) == fib(n)
+    assert fibonomial_via_chains(n, 1) == fibonomial_via_chains(n, n - 1) == fib(n)
+    assert calls == []
+    assert fibonomial_def(n, 10) == fibonomial_via_chains(n, 10) == window_quotient(n, 10)
+    assert len(fib_core._PRIM) == 11
+
+
+@pytest.mark.parametrize("cap", [12, 50])
+def test_quotients_across_a_small_cap(monkeypatch, cap):
+    # with the cap lowered, n > 2 cap reaches the sieve past the cap, whose parts serve one call only
+    monkeypatch.setattr(fib_core, "_FIB_CAP", cap)
+    fresh_table(monkeypatch)
+    rows = sorted({cap - 1, cap, cap + 1, cap + 2, 2 * cap, 2 * cap + 1, 2 * cap + 2, 2 * cap + 3, 3 * cap + 7})
+    for n in rows:
+        for k in range(n + 1):
+            want = plain_quotient(n, k)
+            assert fibonomial_def(n, k) == want, (n, k)
+            assert fibonomial_via_chains(n, n - k) == want, (n, k)
+            assert len(fib_core._PRIM) <= cap + 1
+    assert len(fib_core._PRIM) == cap + 1
+    real, table = fib_core.fib, fib_core._PRIM
+    before = list(table)
+    # a sieve of the parts past the cap, cap < d <= 2 cap, that raises leaves the kept table as it was; 4 | 2 cap
+    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2 * cap))
+    with pytest.raises(ArithmeticError):
+        fibonomial_def(4 * cap, 2 * cap)
+    assert fib_core._PRIM is table and table == before
 
 
 def full_table_rec(n, form):
