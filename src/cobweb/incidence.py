@@ -184,7 +184,8 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     """Zeta matrix as the reflexive-transitive closure of the Hasse diagram.
 
     Row i is the int bitset of the vertices reachable from i; covers lead to
-    later indices, so the rows close from the last vertex down.  Only the
+    later indices, so the rows close from the last vertex down, each ORing in
+    the rows its edges lead to, bucketed by source in any order.  Only the
     cover edges and the linear order are read, nothing of the staircase route:
     the rows are expanded from the bitsets on their first read, and the level
     form is read off the bitsets by ``_reach_levels``.  A closure through ``_ZETA_CAP`` is
@@ -194,11 +195,17 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     t = truncate(max_level)
     n = t.vertex_count
     kept = _ZETA.get(max_level)
-    if kept and kept[0] == n and (kept[1] is t.edges or kept[1] == t.edges):  # kept: the same edges tuple
+    if kept and kept[0] == n and (kept[1] is t.edges or kept[1] == t.edges):  # kept: the same edges
         return kept[2]
+    heads: list[list[int]] = [[] for _ in range(n)]  # heads[i]: each j of an edge (i, j)
+    for i, j in t.edges:
+        heads[i].append(j)
     reach = [1 << i for i in range(n)]
-    for i, j in sorted(t.edges, reverse=True):
-        reach[i] |= reach[j]
+    for i in range(n - 1, -1, -1):  # a later head's row is closed already; an earlier one's is still its own bit
+        r = reach[i]
+        for j in heads[i]:
+            r |= reach[j]
+        reach[i] = r
     for i, r in enumerate(reach):
         if r >> i << i != r:
             raise ValueError(f"nonzero entry below the diagonal in row {i}")

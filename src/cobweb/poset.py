@@ -9,12 +9,12 @@ chosen vertex.
 
 from __future__ import annotations
 
-import gc
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from functools import total_ordering
-from itertools import combinations, product
+from functools import partial, total_ordering
+from itertools import chain, combinations, product
+from operator import eq
 
 from .fib_core import fib
 from .record import Record, set_field
@@ -68,9 +68,17 @@ def from_linear(i: int) -> Vertex:
     s = bisect_right(_LEVEL_STARTS, i)  # the levels 1..s start at or below i
     while fib(s + 2) <= i:  # past the list, a level at a time
         s += 1
-    v = Vertex.__new__(Vertex)  # 1 <= pos <= F_s by the level found: no __init__, whose check calls fib
-    set_field(v, "level", s)
-    set_field(v, "pos", i - fib(s + 1) + 1)
+    return _vertex(s, i - fib(s + 1) + 1)  # 1 <= pos <= F_s by the level found
+
+
+_SET_LEVEL, _SET_POS = Vertex.level.__set__, Vertex.pos.__set__  # the slots' own setters: a third faster than set_field
+
+
+def _vertex(level: int, pos: int) -> Vertex:
+    """A vertex whose pos the caller knows to fit its level: no ``__init__``, whose check calls fib."""
+    v = Vertex.__new__(Vertex)
+    _SET_LEVEL(v, level)
+    _SET_POS(v, pos)
     return v
 
 
@@ -79,16 +87,50 @@ def leq(u: Vertex, v: Vertex) -> bool:
     return u == v or u.level < v.level
 
 
+class _CoverEdges(Record):
+    """The cover pairs (i, j) of a library truncation, read off its ``starts``: the first linear index of
+    each level, then the vertex count.  Levels a..b and b..c give ``product(range(a, b), range(b, c))``;
+    each walk yields these blocks afresh, and no pair is kept.  It compares and hashes as the tuple of
+    its pairs does."""
+
+    __slots__ = ("starts",)
+
+    def __init__(self, starts: tuple[int, ...]) -> None:
+        self._fill(starts)
+
+    def __len__(self) -> int:
+        s = self.starts
+        return sum((b - a) * (c - b) for a, b, c in zip(s, s[1:], s[2:]))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        s = self.starts
+        return chain.from_iterable(map(product, map(range, s, s[1:]), map(range, s[1:], s[2:])))
+
+    def __reversed__(self) -> Iterator[tuple[int, int]]:
+        s = self.starts[::-1]
+        lows, highs = map(range, s[2:], s[1:]), map(range, s[1:], s)
+        return chain.from_iterable(map(product, map(reversed, lows), map(reversed, highs)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _CoverEdges)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 class CobwebTruncation(Record):
     """All levels 0..max_level with the complete bipartite cover edges.
 
     ``vertices`` is in linear-index order, ``edges`` holds cover pairs as
-    linear indices.  Immutable after construction.
+    linear indices: a view over the level starts in a library truncation,
+    any tuple of pairs in a hand-built one.  Immutable after construction.
     """
 
     __slots__ = ("max_level", "vertices", "edges")
 
-    def __init__(self, max_level: int, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...]):
+    def __init__(self, max_level: int, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...] | _CoverEdges):
         self._fill(max_level, vertices, edges)
 
     @property
@@ -101,47 +143,42 @@ class CobwebTruncation(Record):
         return tuple(v for v in self.vertices if v.level == s)
 
 
-_KEPT = 14  # truncate(0..14) kept whole: 142 130 edges of truncate(14), all 15 entries in 9.9 MB
+_KEPT = 14  # truncate(0..14) kept whole: 987 vertices in truncate(14), its 142 130 edges a view over 16 starts
 _TRUNCATIONS: list[CobwebTruncation] = []  # [L] = truncate(L), grown in order up to _KEPT
 _LEVEL_STARTS = tuple(fib(s + 1) for s in range(1, _KEPT + 1))  # [s - 1] = F_{s+1}: level s starts there
 
 
 def _level(s: int) -> tuple[Vertex, ...]:
     """The vertices of level s, in linear-index order."""
-    return tuple(Vertex(s, j) for j in range(1, level_size(s) + 1))
+    return tuple(map(partial(_vertex, s), range(1, level_size(s) + 1)))
 
 
 def _grow(t: CobwebTruncation) -> CobwebTruncation:
-    """The truncation one level above ``t``: its vertices and edges, then the next level and its covers."""
-    s, mid = t.max_level + 1, len(t.vertices)  # level s starts where t ends, level s - 1 ends there
+    """The truncation one level above ``t``: its vertices, then level s's; its edge view, one start longer."""
+    s = t.max_level + 1
     vertices = t.vertices + _level(s)
     if len(vertices) != fib(s + 2):  # cumulative level sizes must telescope to a Fibonacci number
         raise AssertionError("level-size bookkeeping broke; this is a bug")
-    pairs = product(range(mid - level_size(s - 1), mid), range(mid, len(vertices)))
-    return CobwebTruncation(s, vertices, t.edges + tuple(pairs))
+    return CobwebTruncation(s, vertices, _CoverEdges(t.edges.starts + (len(vertices),)))
 
 
 def truncate(max_level: int) -> CobwebTruncation:
     """The truncation at ``max_level``; vertex count is F_{max_level+2}, ``edges`` in ascending (i, j) order.
 
-    Each one is the one below it grown by a level.  Those through level ``_KEPT`` are built once and
-    returned again, the same immutable object; one above it is grown from ``truncate(_KEPT)`` per call.
+    Each one is the one below it grown by a level, and its ``edges`` is a view over the level starts
+    that holds no pair.  Those through level ``_KEPT`` are built once and returned again, the same
+    immutable object; one above it is grown from ``truncate(_KEPT)`` per call.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     if max_level < len(_TRUNCATIONS):
         return _TRUNCATIONS[max_level]
-    enabled = gc.isenabled()
-    gc.disable()  # the pairs are tuples of ints, no cycle: the next young collection untracks them in one pass
-    try:
-        grown = _TRUNCATIONS[-1:] or [CobwebTruncation(0, (ROOT,), ())]
-        while grown[-1].max_level < max_level:
-            grown.append(_grow(grown[-1]))
-    finally:
-        if enabled:
-            gc.enable()
-    # one slice assignment publishes the new entries by index; none is ever removed
-    _TRUNCATIONS[grown[0].max_level : _KEPT + 1] = grown[: _KEPT + 1 - grown[0].max_level]
+    grown = _TRUNCATIONS[-1:] or [CobwebTruncation(0, (ROOT,), _CoverEdges((0, 1)))]
+    while grown[-1].max_level < max_level:
+        grown.append(_grow(grown[-1]))
+    # one slice assignment, as long as the growth's kept part, publishes it by index: none is ever removed
+    start, kept = grown[0].max_level, grown[: _KEPT + 1 - grown[0].max_level]
+    _TRUNCATIONS[start : start + len(kept)] = kept
     return grown[-1]
 
 

@@ -202,9 +202,29 @@ def test_closure_of_broken_covers_matches_the_validating_constructor(L, data):
         got, want = closure_of_edited_edges(mp, L, lambda edges: edges + [(i, j)])
         assert got.rows == want.rows == z.rows and got.level_form() == z.level_form()
         # an edge down the order: the same error, naming the same row
-        i, j = t.edges[data.draw(pick)]
+        i, j = tuple(t.edges)[data.draw(pick)]
         got, want = closure_of_edited_edges(mp, L, lambda edges: edges + [(j, i)])
         assert got == want and want.startswith("nonzero entry below the diagonal in row ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.randoms(use_true_random=False), st.data())
+def test_closure_does_not_depend_on_the_edge_order(L, drop, down, rnd, data):
+    edges = list(truncate(L).edges)
+    if drop:  # no level form
+        del edges[data.draw(st.integers(0, len(edges) - 1))]
+    if down:  # an edge down the order: an error naming the first row below the diagonal
+        i = data.draw(st.integers(1, fib(L + 2) - 1))
+        edges.append((i, data.draw(st.integers(0, i - 1))))
+    shuffled = rnd.sample(edges, len(edges))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "_ZETA", {})
+        got, _ = closure_of_edited_edges(mp, L, lambda _: shuffled)
+        want, _ = closure_of_edited_edges(mp, L, lambda _: sorted(edges))
+    if down:
+        assert got == want and want.startswith("nonzero entry below the diagonal in row ")
+    else:
+        assert got.rows == want.rows and got.level_form() == want.level_form()
 
 
 def test_zeta_routes_stay_independent(monkeypatch, capsys):
@@ -235,12 +255,13 @@ def test_an_edited_truncation_gets_its_own_closure(monkeypatch):
     L = 6
     real = zeta_from_order(L)
     t = truncate(L)
-    i, j = t.edges[0]
-    k = next(k for k in range(j + 1, t.vertex_count) if real.entry(i, k) and (i, k) not in t.edges)
+    covers = tuple(t.edges)
+    i, j = covers[0]
+    k = next(k for k in range(j + 1, t.vertex_count) if real.entry(i, k) and (i, k) not in covers)
     edits = [
-        t.edges[1:],  # a cover edge dropped
-        ((i, k),) + t.edges[1:],  # a cover edge swapped for a transitive one: as many edges
-        t.edges + ((t.vertex_count - 1, 0),),  # an edge down the order
+        covers[1:],  # a cover edge dropped
+        ((i, k),) + covers[1:],  # a cover edge swapped for a transitive one: as many edges
+        covers + ((t.vertex_count - 1, 0),),  # an edge down the order
     ]
     for edges in edits:
         with monkeypatch.context() as mp:

@@ -1,8 +1,13 @@
 import gc
 import math
+import pickle
+import tracemalloc
 from itertools import chain, combinations, count, pairwise, product
+from operator import eq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import fib_core, poset
 from cobweb.fib_core import fib
@@ -169,14 +174,17 @@ def test_truncate_edges_match_per_vertex_construction():
         assert truncate(L).edges == tuple(want)
 
 
+def kept_edges(L, order=1):
+    """The cover pairs of truncate(L) from the level starts alone: ascending, or descending if order is -1."""
+    first = [to_linear(Vertex(s, 1)) for s in range(L + 2)]  # first index of each level
+    blocks = [(range(first[s], first[s + 1])[::order], range(first[s + 1], first[s + 2])[::order]) for s in range(L)]
+    return chain.from_iterable(product(*block) for block in blocks[::order])
+
+
 def kept_truncation(L):
     """The vertices and edges of truncate(L), from the level starts alone."""
-    first = [to_linear(Vertex(s, 1)) for s in range(L + 2)]  # first index of each level
     vertices = tuple(Vertex(s, j) for s in range(L + 1) for j in range(1, level_size(s) + 1))
-    edges = chain.from_iterable(
-        product(range(first[s], first[s + 1]), range(first[s + 1], first[s + 2])) for s in range(L)
-    )
-    return vertices, tuple(edges)
+    return vertices, tuple(kept_edges(L))
 
 
 def is_truncate(t, L):
@@ -189,21 +197,82 @@ def test_truncate_edges_ascend():
         assert all(e < f for e, f in pairwise(truncate(L).edges))
 
 
-def test_truncations_share_their_edge_blocks(monkeypatch):
+def test_truncate_from_an_empty_table_allocates_no_pairs(monkeypatch):
+    monkeypatch.setattr(poset, "_TRUNCATIONS", [])
+    fib(poset._KEPT + 2)  # fib's own table is warm, so only the truncations are traced
+    tracemalloc.start()
+    try:
+        truncate(poset._KEPT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000  # its 142 130 cover pairs, as tuples of ints, would take 9.8 MB
+
+
+def test_kept_truncations_hold_no_pair_objects(monkeypatch):
     top = poset._KEPT + 1
     for levels in (range(top, -1, -1), range(top + 1)):
         monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # an empty table for each order
         for L in levels:
             assert truncate(L).edges == kept_truncation(L)[1]
             assert len(poset._TRUNCATIONS) == min(max(levels[0], L), poset._KEPT) + 1
-    for L in range(top):  # each one's edges start with the very pairs of the one below it
-        shorter, longer = truncate(L).edges, truncate(L + 1).edges
-        assert longer[: len(shorter)] == shorter
-        assert all(e is f for e, f in zip(shorter, longer))
-    # up to the cap the truncations are the table's own; above it one is grown, and its new pairs built, per call
+    # up to the cap the truncations are the table's own; above it one is grown per call
     assert all(truncate(L) is poset._TRUNCATIONS[L] for L in range(top))
     assert truncate(top) is not truncate(top)
-    assert truncate(top).edges[-1] is not truncate(top).edges[-1]
+    # every object the kept table reaches, classes aside: the only tuples are the vertices and the level starts
+    reached, todo = {}, list(poset._TRUNCATIONS)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in reached and not isinstance(obj, type):
+            reached[id(obj)] = obj
+            todo += gc.get_referents(obj)
+    tuples = {i for i, obj in reached.items() if type(obj) is tuple}
+    assert tuples == {id(part) for t in poset._TRUNCATIONS for part in (t.vertices, t.edges.starts)}
+    assert all(len(t.edges.starts) == t.max_level + 2 for t in poset._TRUNCATIONS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, poset._KEPT + 3))
+def test_the_edge_view_reads_as_the_tuple_of_its_pairs(L):
+    edges = truncate(L).edges
+    size = sum(1 for _ in kept_edges(L))
+    assert len(edges) == size == sum(1 for _ in edges) == sum(1 for _ in reversed(edges))
+    assert bool(edges) == (L > 0)
+    assert all(map(eq, edges, kept_edges(L))) and all(map(eq, reversed(edges), kept_edges(L, -1)))
+    again = pickle.loads(pickle.dumps(edges))
+    assert again == edges and not again != edges and again is not edges
+    if L <= poset._KEPT + 1:  # the tuple itself: 24 MB at L = 15, 62 MB at 16 and 163 MB at 17
+        kept = kept_truncation(L)[1]
+        assert edges == kept and kept == edges and not edges != kept and hash(edges) == hash(kept)
+        assert tuple(reversed(edges)) == kept[::-1]
+        assert edges != list(kept)  # as a tuple compares: never equal to a list of its items
+        if kept:
+            assert edges != kept[:-1] and edges != kept[:-1] + ((0, 0),) and edges != kept + kept[-1:]
+    assert edges != truncate(L + 1).edges
+
+
+def test_level_vertices_match_the_validating_constructor():
+    for s in range(18):
+        level = poset._level(s)
+        assert level == tuple(Vertex(s, j) for j in range(1, level_size(s) + 1))
+        assert all(type(v) is Vertex for v in level)
+
+
+def test_an_interleaved_growth_never_shrinks_the_table(monkeypatch):
+    grow, interleaved = poset._grow, []
+
+    def growing_the_table_first(t):  # stands in for another caller's growth, published in between
+        if not interleaved:
+            interleaved.append(t)
+            truncate(poset._KEPT)
+        return grow(t)
+
+    monkeypatch.setattr(poset, "_TRUNCATIONS", [])
+    monkeypatch.setattr(poset, "_grow", growing_the_table_first)
+    assert is_truncate(truncate(3), 3)
+    assert len(poset._TRUNCATIONS) == poset._KEPT + 1
+    assert all(map(is_truncate, poset._TRUNCATIONS, count()))
+    assert truncate(poset._KEPT) is poset._TRUNCATIONS[-1]
 
 
 def test_truncations_share_their_vertex_levels(monkeypatch):
