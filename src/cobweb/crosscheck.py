@@ -374,8 +374,8 @@ def _fence_brute_vs_transfer(cfg: CrosscheckConfig) -> Iterator[Case]:
 
 @_check("fence-fibonacci")
 def _fence_fibonacci(cfg: CrosscheckConfig) -> Iterator[Case]:
-    cap = fib_core._FIB_CAP  # fib reads a table up to here and doubles above it
-    for n in [*range(1, 21), cap - 3, cap - 2, cap - 1, 3 * cap]:
+    cap = fib_core._FIB_CAP  # a table up to here, doubling above it; F_(3 cap+3) takes the odd last bit from an odd m
+    for n in [*range(1, 21), cap - 3, cap - 2, cap - 1, 3 * cap, 3 * cap + 1]:
         yield "fence ideals vs F_(n+2)", f"n={n}", paths_fences.fence_ideals(n), fib_core.fib(n + 2)
 
 

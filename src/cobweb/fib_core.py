@@ -38,28 +38,41 @@ def fib(n: int) -> int:
     """n-th Fibonacci number under F_0 = 0, F_1 = F_2 = 1; exact for any n.
 
     Negative indices follow the recurrence backwards: F_{-n} = (-1)^{n+1} F_n.
-    Indices up to 4096 come from a shared prefix table, extended on demand.
-    Larger ones are computed by fast doubling over the bits of n,
-    F_2m = F_m (2 F_{m+1} - F_m) and F_{2m+1} = F_m^2 + F_{m+1}^2, and are
-    not cached.
+    Indices up to 4096 come from a shared prefix table, extended on demand. Larger ones are not cached:
+    ``_fib_lucas`` doubles (F_m, L_m), L the Lucas numbers, over the bits of m = n // 2 by F_2m = F_m L_m and
+    L_2m = L_m^2 - 2(-1)^m, a 1 bit stepping by F_{m+1} = (F_m + L_m)/2 and L_{m+1} = (5F_m + L_m)/2, so each
+    bit costs one product and one square. The last bit needs F alone, so it costs one product:
+    F_2m = F_m L_m, or F_2m+1 = F_{m+1} L_m - (-1)^m.
     """
     if n < 0:  # before the table read: _FIB[-1] would be the last entry
         return fib(-n) if n % 2 else -fib(-n)
     if n < len(_FIB):
         return _FIB[n]
     if n <= _FIB_CAP:
-        a, b = _FIB[-2], _FIB[-1]
-        for _ in range(len(_FIB), n + 1):
-            a, b = b, a + b
-            _FIB.append(b)
-        return b
-    bits = bin(n)[2:]
-    a, b = 0, 1  # (F_m, F_{m+1}) for m = the bits of n read so far
-    for bit in bits[:-1]:
-        a, b = a * (2 * b - a), a * a + b * b
+        start = len(_FIB)
+        _FIB[start : n + 1] = _fib_run(_FIB[start - 2], _FIB[start - 1], n + 1 - start)  # never shrinks the table
+        return _FIB[n]
+    f, l = _fib_lucas(n >> 1)
+    return ((f + l) >> 1) * l + (1 if n & 2 else -1) if n & 1 else f * l
+
+
+def _fib_run(a: int, b: int, count: int) -> list[int]:
+    """F_{m+1}..F_{m+count} from a = F_{m-1} and b = F_m, by addition."""
+    out = []
+    for _ in range(count):
+        a, b = b, a + b
+        out.append(b)
+    return out
+
+
+def _fib_lucas(m: int) -> tuple[int, int]:
+    """(F_m, L_m) for m >= 1, by the doubling that ``fib`` describes."""
+    f, l, s = 1, 1, 2  # F_1, L_1 and -2(-1)^1
+    for bit in bin(m)[3:]:
+        f, l, s = f * l, l * l + s, -2
         if bit == "1":
-            a, b = b, a + b
-    return a * a + b * b if bits[-1] == "1" else a * (2 * b - a)
+            f, l, s = (f + l) >> 1, (5 * f + l) >> 1, 2
+    return f, l
 
 
 FIBONACCI = PsiSequence("fibonacci", fib)
@@ -93,8 +106,14 @@ def _sieve(lo: int, hi: int, top: int, parts: list[int], inexact: str) -> list[i
     """F_lo..F_hi, each F_m divided by P_d for every d | m, 3 <= d <= top, d < m; parts gives P_d for d < lo.
 
     In ascending d, P_d is what is left of F_d at its turn. A remainder raises ArithmeticError(inexact).
+    A window that reaches above _FIB_CAP takes one doubling for F_{lo-1} and the rest by addition.
     """
-    new = [fib(m) for m in range(lo, hi + 1)]
+    if hi <= _FIB_CAP:
+        fib(hi)  # grows the table in one call, so the reads below are table hits
+        new = [fib(m) for m in range(lo, hi + 1)]
+    else:
+        f, l = _fib_lucas(lo - 1)
+        new = _fib_run((l - f) >> 1, f, hi - lo + 1)
     for d in range(3, top + 1):
         p = parts[d] if d < lo else new[d - lo]
         for m in range(max(2 * d, -(-lo // d) * d), hi + 1, d):
@@ -119,7 +138,7 @@ def _fib_quotient(n: int, k: int, inexact: str) -> int:
         parts = parts[:lo] + _sieve(lo, top, top, parts, inexact)
         _PRIM[lo : min(top, _FIB_CAP) + 1] = parts[lo : _FIB_CAP + 1]  # publishes a whole checked growth, never shrinks
     quotient = [parts[d] for d in range(3, top + 1) if n // d - k // d - (n - k) // d]
-    return _product(quotient + _sieve(n - j + 1, n, j, parts, inexact) if top < n else quotient)
+    return _product(quotient + _sieve(n - j + 1, n, j, parts, inexact) if 0 < top < n else quotient)
 
 
 def fibonomial_def(n: int, k: int) -> int:

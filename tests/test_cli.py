@@ -175,6 +175,42 @@ def test_usage_error_exit_code_via_subprocess():
     assert proc.returncode == 2
 
 
+PARSER_ARGV = [
+    [name, *tail] for name, args, bad in [
+        ("fib", ["5"], ["x"]), ("fibonomial", ["5", "2"], ["5", "x"]), ("zeta", ["--levels", "2"], ["--levels", "x"]),
+        ("mobius", ["--levels", "2"], ["--levels", "x"]), ("chains", ["2", "5"], ["2", "x"]),
+        ("copies", ["3", "1", "2"], ["3", "1", "x"]), ("konvalina", ["--weights", "1,2", "--k", "1"], ["--k", "x"]),
+        ("gv", ["5", "2"], ["5", "x"]), ("fence", ["5"], ["x"]), ("hasse", ["--levels", "2"], ["--levels", "x"]),
+        ("crosscheck", ["--max-n", "1"], ["--max-n", "x"]),
+    ] for tail in (["-h"], args[:-1], bad, [*args, "extra"], ["--bogus", *args], [*args, "-h"])
+] + [
+    ["fibonomial", "5", "2", "--method", "nope"], ["zeta", "--levels", "2", "--format", "nope"],
+    ["chains", "2", "5", "--format", "xml"], ["konvalina", "--weights", "1,2", "--k", "1", "--kind", "third"],
+    [], ["-h"], ["nope"], ["--out", "x"], ["fib", "--out"], ["fib", "-h", "extra"], ["FIB", "5"], ["fi", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_one_subcommand_parser_reads_and_reports_as_the_full_one(capsys, argv):
+    # each argv here ends in help or a usage error, which the full parser prints and exits with
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = full.value.code, *capsys.readouterr()
+    with pytest.raises(SystemExit) as lean:
+        main(list(argv))
+    assert (lean.value.code, *capsys.readouterr()) == want
+
+
+def test_a_subcommand_builds_its_parser_alone(monkeypatch):
+    built, full = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or full(command))
+    assert main(["fib", "5"]) == 0
+    assert built == ["fib"]
+    choices = full("fib")._subparsers._group_actions[0].choices
+    assert list(choices) == ["fib"]
+    assert list(full()._subparsers._group_actions[0].choices) == list(cli._COMMANDS)
+
+
 def test_cli_runs_are_deterministic():
     for args in (
         ["fibonomial", "6", "3", "--method", "all"],
@@ -415,6 +451,15 @@ def test_crosscheck_detects_wrong_fib_above_the_table(capsys, monkeypatch):
     want = fib(fib_core._FIB_CAP + 1)
     row = f"at n={fib_core._FIB_CAP - 1}: got {shortened(want)}, want {shortened(want + 1)}\n"
     assert row in out
+    assert out.count("FAIL") == 1
+    # a fault at indices 4j + 3 above the cap, the odd last bit from an odd half index, shows only at n = 3 cap + 1
+    cap = fib_core._FIB_CAP
+    monkeypatch.setattr(crosscheck.fib_core, "fib", lambda n: real(n) + (n > cap and n % 4 == 3))
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    want = fib(3 * cap + 3)
+    assert f"at n={3 * cap + 1}: got {shortened(want)}, want {shortened(want + 1)}\n" in out
+    assert "FAIL  fence-fibonacci: fence ideals" in out
     assert out.count("FAIL") == 1
 
 

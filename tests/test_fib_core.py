@@ -211,6 +211,54 @@ def test_fib_does_not_depend_on_table_state(monkeypatch):
     assert fib_core._FIB == FIBS[: CAP + 1]
 
 
+def pair_doubling(n):
+    # oracle: (F_n, F_{n+1}) by doubling on consecutive Fibonacci numbers, no Lucas numbers
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
+def test_fib_above_the_table_matches_pair_doubling_around_powers_of_two():
+    # 2^k - 1, 2^k and 2^k + 1 end on both last bits, with an odd and an even half index
+    for k in range(12, 23):
+        a, b = pair_doubling(2**k - 1)
+        assert (fib(2**k - 1), fib(2**k), fib(2**k + 1)) == (a, b, a + b), k
+    assert fib(4 * 10**6) == pair_doubling(4 * 10**6)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(CAP, 64 * CAP))
+@example(3 * CAP + 3)
+def test_fib_above_the_table_matches_pair_doubling(n):
+    assert fib(n) == pair_doubling(n)[0]
+
+
+def test_fib_above_the_table_leaves_the_table_as_it_was():
+    fib(CAP)
+    table, before = fib_core._FIB, list(fib_core._FIB)
+    for n in (CAP + 1, 2 * CAP, 10**5 + 1):
+        fib(n)
+        assert fib_core._FIB is table and len(table) == CAP + 1 and table == before
+
+
+def counted_kernel(monkeypatch):
+    # the Lucas-pair doubling, wrapped to record the index of each call
+    calls, kernel = [], fib_core._fib_lucas
+    monkeypatch.setattr(fib_core, "_fib_lucas", lambda m: calls.append(m) or kernel(m))
+    return calls
+
+
+@pytest.mark.parametrize("lo", [CAP - 2, CAP - 1, CAP, CAP + 1, CAP + 2, 10**5])
+def test_a_window_above_the_table_takes_one_doubling(monkeypatch, lo):
+    want = [fib(m) for m in range(lo, lo + 41)]
+    calls = counted_kernel(monkeypatch)
+    assert fib_core._sieve(lo, lo + 40, 2, [], "unused") == want  # top = 2 divides nothing
+    assert calls == [lo - 1]
+
+
 LIMIT = bigint._DIV_LIMIT
 
 
@@ -371,18 +419,26 @@ def test_quotients_do_not_depend_on_the_primitive_part_table(monkeypatch, grown)
     assert len(fib_core._PRIM) == CAP + 1  # filled to the cap, never past it
 
 
+def wrong_seed(kernel, at):
+    # the doubling with F_at one too big: a window seeded by it gets F_(at+2) and F_(at+3) one too big
+    return lambda m: (lambda f, l: (f + (m == at), l))(*kernel(m))
+
+
 def test_a_growth_that_raises_leaves_the_table_as_it_was(monkeypatch):
-    real = fib_core.fib
-    # the first three grow the table; above the cap only the window n-4 < m <= n is sieved, by P_3 and P_4
+    real, kernel = fib_core.fib, fib_core._fib_lucas
+    # the first three grow the table; above the cap only the window n-4 < m <= n is sieved, by P_3 and P_4,
+    # from one doubling at n-4 = bad-3 and additions, so there the doubling makes F_bad wrong
     for grown, bad in ((None, 152), (401, 1000), (1001, CAP - 4), (CAP, CAP + 4), (4, CAP + 4)):
         table = fresh_table(monkeypatch, grown)
         before = list(table)
         # 4 | bad, so P_4 = F_4 = 3 divides F_bad and the sieve finds the wrong one
         monkeypatch.setattr(fib_core, "fib", lambda i, bad=bad: real(i) + (i == bad))
+        monkeypatch.setattr(fib_core, "_fib_lucas", wrong_seed(kernel, bad - 3))
         with pytest.raises(ArithmeticError):
             fibonomial_def(bad + 1, 4)
         assert fib_core._PRIM is table and table == before, (grown, bad)
         monkeypatch.setattr(fib_core, "fib", real)
+        monkeypatch.setattr(fib_core, "_fib_lucas", kernel)
 
 
 def window_quotient(n, k):
@@ -391,6 +447,16 @@ def window_quotient(n, k):
     q, r = divmod(math.prod(fib(m) for m in range(n - j + 1, n + 1)), math.prod(FIBS[1 : j + 1]))
     assert r == 0
     return q
+
+
+def test_a_quotient_above_the_cap_takes_one_doubling_for_its_window(monkeypatch):
+    n = 10**5
+    want = window_quotient(n, 10)
+    calls = counted_kernel(monkeypatch)
+    assert fibonomial_def(n, 0) == fibonomial_def(n, n) == 1  # an empty window takes none
+    assert calls == []
+    assert fibonomial_def(n, 10) == want
+    assert calls == [n - 10]  # the window n-10 < m <= n is seeded at F_(n-10)
 
 
 def test_above_the_cap_the_cost_follows_min_k_n_minus_k(monkeypatch):
@@ -427,10 +493,11 @@ def test_quotients_across_a_small_cap(monkeypatch, cap):
             assert fibonomial_via_chains(n, n - k) == want, (n, k)
             assert len(fib_core._PRIM) <= cap + 1
     assert len(fib_core._PRIM) == cap + 1
-    real, table = fib_core.fib, fib_core._PRIM
+    table = fib_core._PRIM
     before = list(table)
-    # a sieve of the parts past the cap, cap < d <= 2 cap, that raises leaves the kept table as it was; 4 | 2 cap
-    monkeypatch.setattr(fib_core, "fib", lambda i: real(i) + (i == 2 * cap))
+    # a sieve of the parts past the cap, cap < d <= 2 cap, that raises leaves the kept table as it was;
+    # it is seeded by one doubling at cap, which makes F_(cap+2) and F_(cap+3) wrong; 3 | 12 + 3 and 4 | 50 + 2
+    monkeypatch.setattr(fib_core, "_fib_lucas", wrong_seed(fib_core._fib_lucas, cap))
     with pytest.raises(ArithmeticError):
         fibonomial_def(4 * cap, 2 * cap)
     assert fib_core._PRIM is table and table == before
