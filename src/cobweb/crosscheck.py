@@ -93,18 +93,17 @@ def _fibonomial_integrality(cfg: CrosscheckConfig) -> Iterator[Case]:
             # def raises ArithmeticError on a remainder; its quotient must also multiply back
             got = fib_core.fibonomial_def(n, k) * fact[k] * fact[n - k]
             yield "def times F_k! F_(n-k)!", (n, k), got, fact[n]
-    # the divisors above stay below the recursive division's limit; this pair,
-    # 15 065 over 4 985 bits, takes the recursive path through an odd split
-    a = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
-    b = fib_core.psi_factorial(fib_core.FIBONACCI, 121)
-    yield "_divmod disagrees with divmod", (241, 121), bigint._divmod(a, b), divmod(a, b)
-    # a top bit, 64 zeros, then ones: the top half is the least a normalised divisor has,
-    # so _div3n2n's estimate is often two too big and needs both corrections
-    b = 1 << 8199 | (1 << 8135) - 1
+    # decimal() read back by a route that shares nothing with libmpdec, at and around its split widths
+    values = [fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)]
     rng = random.Random(20240302)
-    for i in range(8):
-        a = rng.getrandbits(16400)
-        yield "_divmod disagrees with divmod", f"8200-bit divisor {i}", bigint._divmod(a, b), divmod(a, b)
+    values += [rng.getrandbits(16400) for _ in range(2)]
+    values += [(1 << (1024 << i)) + d for i in range(4) for d in (-1, 1)]
+    for i, v in enumerate(values):
+        text, got = bigint.decimal(v), 0
+        for j in range(0, len(text), 600):  # Horner's rule over 600-digit chunks, each read by int()
+            got = got * 10 ** len(text[j : j + 600]) + int(text[j : j + 600])
+        canonical = text.isascii() and text.isdigit() and text[0] != "0"
+        yield "decimal does not read back", f"{v.bit_length()}-bit value {i}", got if canonical else None, v
 
 
 @_check("natural-binomial")

@@ -83,7 +83,7 @@ def psi_factorial(seq: PsiSequence, n: int) -> int:
     """Product seq(n) * seq(n-1) * ... * seq(1); the empty product is 1."""
     if n < 0:
         raise ValueError(f"psi_factorial expects n >= 0, got {n}")
-    values = [seq.values(m) for m in range(1, n + 1)]
+    values = [seq.values(m) for m in range(n, 0, -1)][::-1]  # read from the top: a table (fib) grows in one call
     if 0 in values:
         m = values.index(0) + 1
         raise ValueError(f"sequence {seq.name!r} vanishes at {m}; factorial undefined")

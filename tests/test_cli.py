@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import decimal as stdlib_decimal
 import hashlib
 import io
 import json
@@ -369,14 +370,20 @@ def unlimited_str(value):
 
 @st.composite
 def split_values(draw):
-    # values decimal() takes apart at one to six levels: around a split power, with a run of
-    # zeros across a split point, or random up to about 2*10^5 bits
+    # values decimal() takes apart at one to six levels: around a power of ten or of two at a split
+    # width, with a run of zero digits or zero bits across a split point, or random up to about 2*10^5 bits
     i = draw(st.integers(0, 5))
-    digits = 600 * 2**i
+    digits, bits = 600 * 2**i, 1024 * 2**i
     rng = random.Random(draw(st.integers(0, 2**32)))
-    shape = draw(st.sampled_from(["power", "zeros", "random"]))
+    shape = draw(st.sampled_from(["power", "zeros", "power2", "zero bits", "random"]))
     if shape == "power":
         value = 10**digits + draw(st.integers(-1, 1))
+    elif shape == "power2":
+        value = (1 << bits) + draw(st.integers(-1, 1))
+    elif shape == "zero bits":  # zero bits from bit bits - right to bits + left - 1
+        left, right = draw(st.integers(1, 2000)), draw(st.integers(1, bits))
+        high = rng.getrandbits(rng.randint(1, 100_000)) | 1
+        value = high << (bits + left) | rng.getrandbits(bits - right)
     elif shape == "zeros":  # zeros from digit digits - right to digits + left - 1, counted from the last
         left, right = draw(st.integers(1, 700)), draw(st.integers(1, min(700, digits)))
         high = rng.getrandbits(rng.randint(1, 40_000)) | 1
@@ -394,6 +401,8 @@ def test_decimal_matches_str(value):
 
 def test_results_above_the_digit_limit_print_in_full(capsys):
     limit = sys.get_int_max_str_digits()
+    context = stdlib_decimal.getcontext()
+    settings_before = (context.prec, context.Emax, context.Emin, dict(context.traps), dict(context.flags))
     assert main(["fib", "30000"]) == 0
     assert capsys.readouterr().out == unlimited_str(fib(30000)) + "\n"
     assert main(["fibonomial", "300", "150"]) == 0
@@ -403,13 +412,41 @@ def test_results_above_the_digit_limit_print_in_full(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fibonomial"] == unlimited_str(fibonomial_via_chains(400, 3))
     assert sys.get_int_max_str_digits() == limit  # library callers keep their limit
+    assert stdlib_decimal.getcontext() is context  # and their decimal context, as it was
+    assert (context.prec, context.Emax, context.Emin, dict(context.traps), dict(context.flags)) == settings_before
+
+
+def test_a_rounding_in_the_decimal_conversion_is_an_internal_error(capsys, monkeypatch):
+    # with too few digits of precision a join would round: Inexact is raised, and no digit is printed
+    monkeypatch.setattr(stdlib_decimal, "MAX_PREC", 1000)
+    with pytest.raises(stdlib_decimal.Inexact):
+        decimal(fib(30000))
+    assert main(["fib", "30000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize(
+    "n, digits, digest",
+    [
+        (2872, 600, "c9da07259034649d6f4c52c195d67cbf203a89145f783943135cc1129a1d5135"),  # str()
+        (2873, 601, "2f9c4df1b560c56c5fd39a961a1e009b4d4410670eadfeb0633d0cb35acbb27d"),  # libmpdec
+    ],
+)
+def test_fib_at_the_str_boundary_prints_the_recorded_bytes(capsys, n, digits, digest):
+    # SHA-256 of stdout recorded from the 10^600 splitting ladder that libmpdec replaced
+    assert main(["fib", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == digits + 1 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_big_fib_via_subprocess():
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
-    proc = run_cli("fib", "30000", env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == unlimited_str(fib(30000)) + "\n"
+    # the least digit limit the interpreter accepts, and the default; F_3100 has 648 digits
+    for limit, n in (("640", 3100), ("640", 30000), ("4300", 30000)):
+        proc = run_cli("fib", str(n), env=dict(os.environ, PYTHONINTMAXSTRDIGITS=limit))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == unlimited_str(fib(n)) + "\n"
 
 
 @pytest.mark.parametrize("method", ["def", "recA", "recB", "chains", "gv", "all"])
@@ -463,36 +500,22 @@ def test_crosscheck_detects_wrong_fib_above_the_table(capsys, monkeypatch):
     assert out.count("FAIL") == 1
 
 
-def test_crosscheck_detects_wrong_recursive_division(capsys, monkeypatch):
-    # a wrong recursive step shows only for divisors above the limit
-    def wrong(a, b):
-        q, r = divmod(a, b)
-        return (q + 1, r) if b.bit_length() > bigint._DIV_LIMIT else (q, r)
+def test_crosscheck_detects_a_wrong_digit_in_a_big_decimal(capsys, monkeypatch):
+    # a decimal() that alters one digit above 10^600, where it leaves str(); the FAIL row prints through str() below it
+    real = bigint.decimal
 
-    monkeypatch.setattr(crosscheck.bigint, "_divmod", wrong)
+    def wrong(value):
+        text = real(value)
+        if abs(value) < 10**600:
+            return text
+        return text[:-300] + str((int(text[-300]) + 1) % 10) + text[-299:]
+
+    monkeypatch.setattr(bigint, "decimal", wrong)
     assert main(["crosscheck", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod" in out
-    assert out.count("FAIL") == 1
-
-
-def test_crosscheck_detects_a_division_corrected_at_most_once(capsys, monkeypatch):
-    # _div3n2n with its correction loop cut to one step; right unless the estimate is two too big
-    def once(a12, a3, b, b1, b2, n):
-        if a12 >> n == b1:
-            q, r = (1 << n) - 1, a12 - (b1 << n) + b1
-        else:
-            q, r = bigint._div2n1n(a12, b1, n)
-        r = (r << n | a3) - q * b2
-        if r < 0:
-            q -= 1
-            r += b
-        return q, r
-
-    monkeypatch.setattr(bigint, "_div3n2n", once)
-    assert main(["crosscheck", "--max-n", "4"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL  fibonomial-integrality: _divmod disagrees with divmod at 8200-bit divisor" in out
+    want = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
+    assert "FAIL  fibonomial-integrality: decimal does not read back at 15065-bit value 0: got " in out
+    assert f"want {shortened(want)}\n" in out
     assert out.count("FAIL") == 1
 
 
@@ -634,10 +657,11 @@ def test_aborts_are_one_line_and_exit_1(capsys, monkeypatch, exc):
     assert captured.err == f"error: aborted by {exc.__name__}\n"
 
 
-# cobweb modules each subcommand imports, run as `python -m cobweb`; none imports these heavy ones
+# cobweb modules and heavy modules each subcommand imports, run as `python -m cobweb`
 IMPORT_BUDGET = {
     ("fib", "10"): {"bigint", "cli", "fib_core", "record"},
-    ("fib", "30000"): {"bigint", "cli", "fib_core", "record"},  # prints by splitting, above the digit limit
+    ("fib", "2872"): {"bigint", "cli", "fib_core", "record"},  # 600 digits, the most str() prints here
+    ("fib", "30000"): {"bigint", "cli", "fib_core", "record", "decimal"},  # above 10^600 it prints through libmpdec
     ("fibonomial", "6", "3", "--method", "def"): {"bigint", "cli", "fib_core", "record"},
     ("hasse", "--levels", "3"): {"bigint", "cli", "fib_core", "poset", "record"},
     ("zeta", "--levels", "3"): {"bigint", "cli", "fib_core", "incidence", "poset", "record"},
@@ -659,8 +683,8 @@ def test_subcommands_import_only_what_they_run(argv):
     proc = subprocess.run([sys.executable, "-c", MODULES_AT_EXIT, *argv], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout
     modules = set(proc.stderr.split())
-    assert {m.partition(".")[2] for m in modules if m.startswith("cobweb.")} == IMPORT_BUDGET[argv]
-    assert modules.isdisjoint(HEAVY_MODULES)
+    ours = {m.partition(".")[2] for m in modules if m.startswith("cobweb.")}
+    assert ours | (modules & HEAVY_MODULES) == IMPORT_BUDGET[argv]
 
 
 @pytest.mark.parametrize(

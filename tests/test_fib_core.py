@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import math
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +73,17 @@ def test_psi_factorial_rejects_zero_value():
     assert psi_factorial(bad, 2) == 2  # (1-3)*(2-3)
     with pytest.raises(ValueError):
         psi_factorial(bad, 3)
+    with pytest.raises(ValueError, match="vanishes at 3;"):  # the first zero, read from the top
+        psi_factorial(bad, 6)
+
+
+def test_psi_factorial_grows_a_cold_table_in_one_run(monkeypatch):
+    monkeypatch.setattr(fib_core, "_FIB", [0, 1])
+    runs = []
+    real = fib_core._fib_run
+    monkeypatch.setattr(fib_core, "_fib_run", lambda a, b, count: runs.append(count) or real(a, b, count))
+    assert psi_factorial(FIBONACCI, 300) == math.prod(FIBS[1:301])
+    assert runs == [299]
 
 
 def test_psi_falling_values():
@@ -259,69 +269,13 @@ def test_a_window_above_the_table_takes_one_doubling(monkeypatch, lo):
     assert calls == [lo - 1]
 
 
-LIMIT = bigint._DIV_LIMIT
-
-
-@st.composite
-def division_operands(draw):
-    # sizes come from a seeded generator so they spread evenly up to 2*10^5 bits
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    b_bits = draw(st.sampled_from([2, LIMIT - 1, LIMIT, LIMIT + 1, LIMIT + 2, 2 * LIMIT + 1, 0]))
-    b_bits = b_bits or rng.randint(2, 100_000)
-    a_bits = rng.randint(b_bits, 200_000)
-    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
-    a = rng.getrandbits(a_bits)
-    shape = draw(st.sampled_from(["random", "one", "power", "smaller", "multiple"]))
-    if shape == "one":
-        b = 1
-    elif shape == "power":
-        b = 1 << b_bits
-    elif shape == "smaller":
-        a = rng.randrange(b)
-    elif shape == "multiple":
-        a = b * rng.getrandbits(a_bits - b_bits)
-    return a, b
-
-
-@settings(max_examples=100, deadline=None)
-@given(division_operands())
-def test_recursive_division_equals_divmod(operands):
-    a, b = operands
-    assert bigint._divmod(a, b) == divmod(a, b)
-
-
-def test_recursive_division_edge_cases():
-    big = (1 << 50_000) + 12345
-    ones = (1 << 9001) - 1  # the top halves of both operands tie, so q starts at 2^n - 1
-    for a, b in (
-        (big * big + 7, big), (big * big, big), (big - 1, big), (0, big), ((ones << 9001) - 1, ones),
-        (-(big * big), big), (big * big, -big), (big * 3, 1), ((1 << 60_000) - 1, 1 << 8000),
-    ):
-        assert bigint._divmod(a, b) == divmod(a, b)
-    with pytest.raises(ZeroDivisionError):
-        bigint._divmod(big, 0)
-
-
-def test_recursive_division_with_a_tiny_limit(monkeypatch):
-    # at a 2-bit limit small operands recurse deeply and take every branch:
-    # odd splits, tied top halves and the second quotient correction
-    monkeypatch.setattr(bigint, "_DIV_LIMIT", 2)
-    rng = random.Random(20261018)
-    for _ in range(2000):
-        b_bits = rng.randint(1, 64)
-        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
-        a = rng.getrandbits(rng.randint(0, 300))
-        assert bigint._divmod(a, b) == divmod(a, b), (a, b)
-
-
 def test_big_integer_kernels_have_one_home():
-    # a kernel defined, or the limit copied, outside bigint would escape the patches above
+    # a kernel defined outside bigint would escape the tests and patches that reach it through bigint
     for path in sorted(Path(bigint.__file__).parent.glob("*.py")):
         if path.name != "bigint.py":
-            text = path.read_text(encoding="utf-8")
-            defs = {node.name for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
-            assert defs.isdisjoint({"_product", "_divmod", "_div2n1n", "_div3n2n", "decimal"}), path.name
-            assert "_DIV_LIMIT" not in text, path.name
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            assert defs.isdisjoint({"_product", "decimal"}), path.name
 
 
 @settings(max_examples=25, deadline=None)
@@ -374,12 +328,9 @@ def test_fibonomial_def_pinned_at_2000_1000():
 def test_def_and_chains_divide_no_big_number(monkeypatch):
     # on a fresh table the sieve runs too; each of its divisions is a builtin divmod of some F_m or less
     monkeypatch.setattr(fib_core, "_PRIM", [0, 1, 1])
-    big, small = [], []
-    real = bigint._divmod
-    monkeypatch.setattr(bigint, "_divmod", lambda a, b: big.append((a, b)) or real(a, b))
+    small = []
     monkeypatch.setattr(fib_core, "divmod", lambda a, b: small.append((a, b)) or divmod(a, b), raising=False)
     assert fibonomial_def(2000, 1000) == fibonomial_via_chains(2000, 1000)
-    assert big == [] and not hasattr(fib_core, "_divmod")
     assert small and max(a.bit_length() for a, _ in small) == FIBS[2000].bit_length()
 
 
