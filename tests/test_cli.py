@@ -519,6 +519,18 @@ def test_crosscheck_detects_a_wrong_digit_in_a_big_decimal(capsys, monkeypatch):
     assert out.count("FAIL") == 1
 
 
+def test_crosscheck_detects_a_big_decimal_with_a_leading_zero(capsys, monkeypatch):
+    # a leading zero reads back to the right value by int(), so only the row's canonical-form test sees it
+    real = bigint.decimal
+    monkeypatch.setattr(bigint, "decimal", lambda value: "0" * (abs(value) >= 10**600) + real(value))
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    want = fib_core.psi_falling(fib_core.FIBONACCI, 241, 121)
+    row = f"FAIL  fibonomial-integrality: decimal does not read back at 15065-bit value 0: got None, want {shortened(want)}\n"
+    assert row in out
+    assert out.count("FAIL") == 1
+
+
 def shortened(value):
     # a FAIL row prints a value past 60 characters as its head, tail and length
     text = decimal(value)
