@@ -12,9 +12,10 @@ exercised.
 
 from __future__ import annotations
 
+import io
 import random
 import sys
-from typing import Callable, Iterator, TextIO
+from collections.abc import Callable, Iterator
 
 from . import bigint, chains, fib_core, incidence, konvalina, paths_fences, poset
 from .bigint import decimal
@@ -411,7 +412,7 @@ def _verdict(check: Check, cfg: CrosscheckConfig) -> str | None:
     return None if count else "no cases ran"
 
 
-def run_crosschecks(cfg: CrosscheckConfig, stream: TextIO | None = None) -> int:
+def run_crosschecks(cfg: CrosscheckConfig, stream: io.TextIOBase | None = None) -> int:
     """Run every registered check in order; print one PASS/FAIL row each.
 
     Returns 0 if all pass, 1 otherwise.

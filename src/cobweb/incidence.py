@@ -18,7 +18,7 @@ from math import prod
 from operator import add, index, mul
 
 from .fib_core import fib
-from .poset import level_size, truncate
+from .poset import _KEPT, level_size, truncate
 
 
 class TriangularMatrix:
@@ -176,8 +176,7 @@ def _entry_bound(rows) -> int:
     return max(max(map(max, rows), default=0), -min(map(min, rows), default=0), 1)
 
 
-_ZETA_CAP = 12  # cli.ZETA_MAX_LEVELS; by tracemalloc the closures of L <= 12 take 0.08 MB, 1.9 MB with rows
-_ZETA: dict[int, tuple] = {}  # L -> (vertex count, edges, zeta_from_order(L)) for L <= _ZETA_CAP
+_ZETA: dict[int, tuple] = {}  # L -> (the truncation closed, zeta_from_order(L)) for L <= _KEPT
 
 
 def zeta_from_order(max_level: int) -> TriangularMatrix:
@@ -188,15 +187,15 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     the rows its edges lead to, bucketed by source in any order.  Only the
     cover edges and the linear order are read, nothing of the staircase route:
     the rows are expanded from the bitsets on their first read, and the level
-    form is read off the bitsets by ``_reach_levels``.  A closure through ``_ZETA_CAP`` is
-    kept with the edges it closed and returned again, the same immutable
-    matrix, only to a truncation with the same vertex count and edges.
+    form is read off the bitsets by ``_reach_levels``.  A closure through ``_KEPT``, the
+    levels poset keeps, is kept with the truncation it closed and returned again, the same
+    immutable matrix, only while ``truncate`` returns that very truncation.
     """
     t = truncate(max_level)
-    n = t.vertex_count
     kept = _ZETA.get(max_level)
-    if kept and kept[0] == n and (kept[1] is t.edges or kept[1] == t.edges):  # kept: the same edges
-        return kept[2]
+    if kept and kept[0] is t:
+        return kept[1]
+    n = t.vertex_count
     heads: list[list[int]] = [[] for _ in range(n)]  # heads[i]: each j of an edge (i, j)
     for i, j in t.edges:
         heads[i].append(j)
@@ -214,8 +213,8 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
         digits = bytes.maketrans(b"01", b"\0\1")
         return (tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
     z = TriangularMatrix._trusted(rows, _reach_levels(reach))
-    if max_level <= _ZETA_CAP:
-        _ZETA[max_level] = n, t.edges, z
+    if max_level <= _KEPT:
+        _ZETA[max_level] = t, z
     return z
 
 

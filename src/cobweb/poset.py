@@ -10,7 +10,6 @@ chosen vertex.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from functools import partial, total_ordering
 from itertools import chain, combinations, product
@@ -60,13 +59,15 @@ def to_linear(v: Vertex) -> int:
 
 
 def from_linear(i: int) -> Vertex:
-    """Inverse of to_linear: level s is the block F_{s+1} <= i < F_{s+2}."""
+    """Inverse of to_linear: the vertex ``truncate(_KEPT).vertices[i]`` itself below F_{_KEPT+2};
+    past it, level s is the block F_{s+1} <= i < F_{s+2}, found a level at a time."""
     if i < 0:
         raise ValueError(f"linear index must be >= 0, got {i}")
-    if i == 0:
-        return ROOT
-    s = bisect_right(_LEVEL_STARTS, i)  # the levels 1..s start at or below i
-    while fib(s + 2) <= i:  # past the list, a level at a time
+    kept = (_TRUNCATIONS[_KEPT] if len(_TRUNCATIONS) > _KEPT else truncate(_KEPT)).vertices
+    if i < len(kept):
+        return kept[i]
+    s = _KEPT + 1
+    while fib(s + 2) <= i:
         s += 1
     return _vertex(s, i - fib(s + 1) + 1)  # 1 <= pos <= F_s by the level found
 
@@ -145,7 +146,6 @@ class CobwebTruncation(Record):
 
 _KEPT = 14  # truncate(0..14) kept whole: 987 vertices in truncate(14), its 142 130 edges a view over 16 starts
 _TRUNCATIONS: list[CobwebTruncation] = []  # [L] = truncate(L), grown in order up to _KEPT
-_LEVEL_STARTS = tuple(fib(s + 1) for s in range(1, _KEPT + 1))  # [s - 1] = F_{s+1}: level s starts there
 
 
 def _level(s: int) -> tuple[Vertex, ...]:

@@ -700,10 +700,13 @@ def test_subcommands_import_only_what_they_run(argv):
 
 
 @pytest.mark.parametrize(
-    "argv", sorted(IMPORT_BUDGET) + [("fibonomial", "6", "3", "--method", "all"), ("chains", "2", "5")], ids=argv_id
+    "argv",
+    sorted(IMPORT_BUDGET)
+    + [("fibonomial", "6", "3", "--method", "all"), ("chains", "2", "5"), ("crosscheck", "--max-n", "1")],
+    ids=argv_id,
 )
 def test_subcommands_load_no_typing(argv):
-    # -S: site start-up may import typing on its own, which would hide an import by cobweb; only crosscheck uses it
+    # -S: site start-up may import typing on its own, which would hide an import by cobweb
     proc = subprocess.run([sys.executable, "-S", "-c", MODULES_AT_EXIT, *argv], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout
     assert "typing" not in proc.stderr.split()

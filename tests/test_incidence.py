@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobweb import incidence
+from cobweb import incidence, poset
 from cobweb.chains import brute_force_max_chains
 from cobweb.cli import ZETA_MAX_LEVELS, main
 from cobweb.fib_core import fib
@@ -277,12 +277,28 @@ def test_an_edited_truncation_gets_its_own_closure(monkeypatch):
 
 
 def test_no_closure_is_kept_above_the_cap(monkeypatch):
-    assert incidence._ZETA_CAP == ZETA_MAX_LEVELS
+    # a closure is kept for exactly the truncations poset keeps
     monkeypatch.setattr(incidence, "_ZETA", {})
-    for L in range(ZETA_MAX_LEVELS + 3):
+    for L in range(poset._KEPT + 2):
         zeta_from_order(L)
-    assert sorted(incidence._ZETA) == list(range(ZETA_MAX_LEVELS + 1))
-    assert zeta_from_order(ZETA_MAX_LEVELS + 1) is not zeta_from_order(ZETA_MAX_LEVELS + 1)
+    assert sorted(incidence._ZETA) == list(range(poset._KEPT + 1))
+    assert all(incidence._ZETA[L][0] is truncate(L) for L in incidence._ZETA)
+    assert zeta_from_order(poset._KEPT + 1) is not zeta_from_order(poset._KEPT + 1)
+
+
+def test_the_closure_table_never_compares_edges(monkeypatch):
+    def no_eq(self, other):
+        raise AssertionError("edges compared")
+
+    monkeypatch.setattr(incidence, "_ZETA", {})
+    monkeypatch.setattr(poset._CoverEdges, "__eq__", no_eq)
+    first = [zeta_from_order(L) for L in range(ZETA_MAX_LEVELS + 1)]
+    assert all(zeta_from_order(L) is z for L, z in enumerate(first))
+    monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # new truncations, so each closure is built again
+    for L, z in enumerate(first):
+        again = zeta_from_order(L)
+        assert again is not z and again.rows == z.rows and again.level_form() == z.level_form()
+        assert zeta_from_order(L) is again
 
 
 def test_zeta_explicit_is_the_leading_block_at_every_size():

@@ -66,3 +66,10 @@ def test_import_cobweb_loads_no_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['cobweb']\n"
+
+
+def test_importing_the_poset_layers_computes_no_fibonacci_number():
+    code = "import cobweb.poset, cobweb.incidence, cobweb.chains; from cobweb import fib_core; print(fib_core._FIB)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1]\n"

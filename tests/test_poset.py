@@ -90,13 +90,13 @@ def test_from_linear_values():
 
 def test_linear_roundtrip_and_monotone_levels():
     prev_level = 0
-    for i in range(fib(poset._KEPT + 2)):  # every vertex of the kept truncations, read off the list of level starts
+    for i in range(fib(poset._KEPT + 2)):  # every vertex of the kept truncations, read off truncate(_KEPT)
         v = from_linear(i)
         assert to_linear(v) == i
         assert v.level >= prev_level
         prev_level = v.level
     assert prev_level == poset._KEPT
-    # past the list: level s - 1 starts at F_s
+    # past the kept truncations: level s - 1 starts at F_s
     for s in range(poset._KEPT + 3, 60):
         for i in (fib(s) - 1, fib(s), fib(s) + 1):
             v = from_linear(i)
@@ -104,6 +104,21 @@ def test_linear_roundtrip_and_monotone_levels():
             assert v.level == (s - 1 if i >= fib(s) else s - 2)
     with pytest.raises(ValueError, match=r"^linear index must be >= 0, got -1$"):
         from_linear(-1)
+
+
+def test_from_linear_reads_the_kept_truncation(monkeypatch):
+    n = fib(poset._KEPT + 2)
+    assert all(from_linear(i) is truncate(poset._KEPT).vertices[i] for i in range(n))
+    monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # a cold table: the first call fills it
+    assert all(from_linear(i) is truncate(poset._KEPT).vertices[i] for i in range(n))
+
+    def no_fib(k):
+        raise AssertionError(f"fib({k}) called")
+
+    monkeypatch.setattr(poset, "fib", no_fib)  # a warm table: no Fibonacci number is computed below F_{_KEPT+2}
+    assert all(from_linear(i) is poset._TRUNCATIONS[poset._KEPT].vertices[i] for i in range(n))
+    with pytest.raises(AssertionError, match=r"^fib\(\d+\) called$"):  # past them the levels are walked
+        from_linear(n)
 
 
 def test_leq_examples():
