@@ -176,8 +176,9 @@ def _copy_enumeration(cfg: CrosscheckConfig) -> Iterator[Case]:
 @_check("zeta-two-routes")
 def _zeta_two_routes(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 12) + 1):
-        got = incidence.zeta_explicit(fib_core.fib(L + 2)).rows
-        yield "explicit zeta", f"L={L}", got, incidence.zeta_from_order(L).rows
+        z = incidence.zeta_from_order(L)
+        yield "closure has a level form", f"L={L}", z.level_form() is not None, True
+        yield "explicit zeta", f"L={L}", incidence.zeta_explicit(fib_core.fib(L + 2)).rows, z.rows
 
 
 @_check("zeta-row-zeros")
@@ -195,12 +196,15 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 10) + 1):
         z = incidence.zeta_from_order(L)
         m = incidence.mobius(z)
+        product = m * z
+        forms = [x.level_form() is not None for x in (z, m, product)]
+        yield "zeta, mu, mu * zeta have level forms", f"L={L}", forms, [True] * 3
         want = incidence._back_substitute(z).rows
         yield "level and dense mu disagree", f"L={L}", m.rows, want
         ident = incidence.TriangularMatrix.identity(z.size).rows
         dense = incidence.TriangularMatrix(m.rows) * z  # a matrix built from rows has no level form
-        yield "level vs Kronecker product", f"L={L}", (m * z).rows, dense.rows
-        yield "mu * zeta = delta", f"L={L}", (m * z).rows, ident
+        yield "level vs Kronecker product", f"L={L}", product.rows, dense.rows
+        yield "mu * zeta = delta", f"L={L}", product.rows, ident
         yield "zeta * mu = delta", f"L={L}", (z * m).rows, ident
 
 
@@ -218,6 +222,7 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
     L = min(cfg.oracle_max_n, 6)
     z = incidence.zeta_from_order(L)
     n = z.size
+    yield "closure has a level form", f"L={L}", z.level_form() is not None, True
 
     def dfs_count(x: int, y: int) -> int:  # strict chains of any length
         total = 0
@@ -236,6 +241,23 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
             yield "chain_count totals", (x, y), sum(counts), want
             dense = [incidence._vec_mat_chains(z.rows, x, y, t) for t in lengths]
             yield "level vs dense chain_count", (x, y), counts, dense
+
+
+@_check("export-level-vs-rows")
+def _export_level_vs_rows(cfg: CrosscheckConfig) -> Iterator[Case]:
+    # each export of a level form against the generic one of rows no level form built: zeta's from
+    # the closure's bitsets, mu's as mobius-inverse checks them against back-substitution
+    for L in range(min(cfg.max_n, 10) + 1):
+        z = incidence.zeta_from_order(L)
+        m = incidence.mobius(z)
+        explicit = incidence.zeta_explicit(z.size)
+        for rows, named in ((z.rows, {"explicit zeta": explicit, "closure": z}), (m.rows, {"mu": m})):
+            plain = incidence.TriangularMatrix(rows)
+            wants = {e: getattr(plain, e)() for e in ("to_dense_text", "to_csv", "to_json_text", "to_json_dict")}
+            for name, level in named.items():
+                yield "has a level form", f"{name}, L={L}", level.level_form() is not None, True
+                for export, want in wants.items():
+                    yield export, f"{name}, L={L}", getattr(level, export)(), want
 
 
 # --- chain interpretation -------------------------------------------------------
@@ -392,8 +414,8 @@ def _beck_identities(cfg: CrosscheckConfig) -> Iterator[Case]:
 
 
 def _show(value) -> str:
-    """``value`` as text; past SHOW_MAX characters, only its head, tail and length."""
-    text = decimal(value) if isinstance(value, int) else str(value)
+    """``value`` as one line of text, a newline as ``\\n``; past SHOW_MAX characters, its head, tail and length."""
+    text = decimal(value) if isinstance(value, int) else str(value).replace("\n", "\\n")
     if len(text) <= SHOW_MAX:
         return text
     return f"{text[:24]}...{text[-24:]} ({len(text)} chars)"

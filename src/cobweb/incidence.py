@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial, reduce
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import prod
-from operator import add, index, mul
+from operator import add, index, mul, or_
 
 from .fib_core import fib
 from .poset import _KEPT, level_size, truncate
@@ -26,7 +26,7 @@ class TriangularMatrix:
 
     One the library builds on an ordinal sum of blocks has a level form ``(ends, diag, table)``:
     block ends, the diagonal, and table[b][c] for c > b, every entry from block b to block c.
-    A library-built matrix builds its N^2 rows on their first read; level routes and text read none."""
+    A library-built matrix builds its N^2 rows on their first read; level routes and exports read none."""
 
     __slots__ = ("_rows", "_levels")
 
@@ -143,32 +143,25 @@ class TriangularMatrix:
     # export -----------------------------------------------------------------
 
     def to_dense_text(self) -> str:
-        return "\n".join(self._lines(" ")) + "\n"
+        return "\n".join([*self._lines(" "), ""])
 
     def to_csv(self) -> str:
-        return "\n".join(self._lines(",")) + "\n"
+        return "\n".join([*self._lines(","), ""])
 
     def to_json_text(self) -> str:
         """``json.dumps({"schema": 1, **self.to_json_dict()}, indent=2) + "\\n"``, one entry a line."""
-        rows = ",\n".join(f"    [\n      {line}\n    ]" for line in self._lines(",\n      "))
-        rows = f"[\n{rows}\n  ]" if rows else "[]"
+        rows = "\n    ],\n    [\n      ".join(self._lines(",\n      "))
+        rows = f"[\n    [\n      {rows}\n    ]\n  ]" if rows else "[]"
         return f'{{\n  "schema": 1,\n  "size": {self.size},\n  "rows": {rows}\n}}\n'
 
     def _lines(self, sep: str) -> list[str]:
         form = self.level_form()
-        if form is None:
-            return [sep.join(map(str, row)) for row in self.rows]
-        ends, diag, table = form
-        sizes = _sizes(ends)
-        tails = [  # one string per block, behind each row's zeros and diagonal
-            "".join((sep + str(v)) * s for v, s in zip(table[b][b + 1 :], sizes[b + 1 :]))
-            for b in range(len(ends))
-        ]
-        return [("0" + sep) * i + str(diag) + (sep + "0") * (end - i - 1) + tail
-                for end, size, tail in zip(ends, sizes, tails) for i in range(end - size, end)]
+        return [sep.join(map(str, row)) for row in self.rows] if form is None else _staircase(*form, sep)
 
     def to_json_dict(self) -> dict:
-        return {"size": self.size, "rows": [list(row) for row in self.rows]}
+        form = self.level_form()
+        rows = [list(row) for row in self.rows] if form is None else _staircase(*form, seq=list)
+        return {"size": self.size, "rows": rows}
 
 
 def _entry_bound(rows) -> int:
@@ -184,7 +177,8 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
 
     Row i is the int bitset of the vertices reachable from i; covers lead to
     later indices, so the rows close from the last vertex down, each ORing in
-    the rows its edges lead to, bucketed by source in any order.  Only the
+    the rows its edges lead to, bucketed by source in any order; sources with
+    the same heads, all above them, share one OR (in the cobweb, one a level).  Only the
     cover edges and the linear order are read, nothing of the staircase route:
     the rows are expanded from the bitsets on their first read, and the level
     form is read off the bitsets by ``_reach_levels``.  A closure through ``_KEPT``, the
@@ -200,11 +194,14 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     for i, j in t.edges:
         heads[i].append(j)
     reach = [1 << i for i in range(n)]
+    shared: dict[tuple, int] = {}  # heads -> the OR of their rows, kept only if every head lies above its source
     for i in range(n - 1, -1, -1):  # a later head's row is closed already; an earlier one's is still its own bit
-        r = reach[i]
-        for j in heads[i]:
-            r |= reach[j]
-        reach[i] = r
+        hs = tuple(heads[i])
+        if (up := shared.get(hs)) is None:  # a hit came from a later source, so these heads lie above i too
+            up = reduce(or_, map(reach.__getitem__, hs), 0)
+            if hs and min(hs) > i:
+                shared[hs] = up
+        reach[i] |= up
     for i, r in enumerate(reach):
         if r >> i << i != r:
             raise ValueError(f"nonzero entry below the diagonal in row {i}")
@@ -278,15 +275,19 @@ def _sizes(ends) -> list[int]:
     return [end - start for start, end in zip((0, *ends), ends)]
 
 
-def _staircase(ends, diag: int, table) -> list:
-    """Rows of the level form ``(ends, diag, table)``: row i of block b reads
-    ``diag`` at i, zeros to the block end, then table[b][c] across each block c > b."""
-    sizes = _sizes(ends)
-    rows = []
+def _staircase(ends, diag: int, table, sep: str | None = None, seq=tuple) -> list:
+    """Rows of the level form ``(ends, diag, table)``: row i of block b reads ``diag`` at i, zeros
+    to the block end, then table[b][c] across each block c > b.  A row is a ``seq`` of its entries,
+    or with ``sep`` their text joined by it: one slice of its block's window (zeros, the diagonal,
+    zeros), then its block's tail, each built once."""
+    cell = (lambda v: seq((v,))) if sep is None else (lambda v: sep + str(v))  # a row drops its first sep
+    zero, d, sizes, rows = cell(0), cell(diag), _sizes(ends), []
+    skip, w = len(sep or ""), len(zero)
     for b, (end, size) in enumerate(zip(ends, sizes)):
-        tail = tuple(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
-        window = (0,) * (end - 1) + (diag,) + (0,) * (size - 1)  # row k starts at size-1-k
-        rows.extend(window[size - 1 - k : size - 1 - k + end] + tail for k in range(size))
+        window = zero * (end - 1) + d + zero * (size - 1)  # row k of the block starts at cell size-1-k
+        tail = reduce(add, map(mul, map(cell, table[b][b + 1 :]), sizes[b + 1 :]), zero[:0])
+        span = (end - 1) * w + len(d)
+        rows += [window[o + skip : o + span] + tail for o in range((size - 1) * w, -1, -w)]
     return rows
 
 

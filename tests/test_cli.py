@@ -304,6 +304,22 @@ def test_crosscheck_compares_level_and_dense_mobius(capsys, monkeypatch):
     assert out.count("FAIL") == 1
 
 
+def test_crosscheck_compares_level_text_with_the_rows(capsys, monkeypatch):
+    # level text that loses its signs turns export-level-vs-rows red, and only it, since the rows
+    # every other row reads are unchanged; the FAIL row shows each text on one line
+    real = crosscheck.incidence._staircase
+
+    def unsigned(ends, diag, table, sep=None, seq=tuple):
+        rows = real(ends, diag, table, sep, seq)
+        return [row.replace("-", "") for row in rows] if sep else rows
+
+    monkeypatch.setattr(crosscheck.incidence, "_staircase", unsigned)
+    assert main(["crosscheck", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  export-level-vs-rows: to_dense_text at mu, L=1: got 1 1\\n0 1\\n, want 1 -1\\n0 1\\n\n" in out
+    assert out.count("FAIL") == 1
+
+
 # SHA-256 of `cobweb <cmd> --levels L --format <fmt>` for L = 0..8 in order,
 # recorded before the level-block Moebius route replaced back-substitution
 MATRIX_OUTPUT_SHA256 = {
@@ -564,11 +580,11 @@ def test_crosscheck_check_without_cases_or_with_a_crash_fails(capsys, monkeypatc
     out = capsys.readouterr().out
     assert out.startswith("FAIL  empty: no cases ran\n")
     assert "FAIL  crash: ZeroDivisionError: integer division or modulo by zero\n" in out
-    assert out.endswith("27 checks: 25 passed, 2 failed\n")
+    assert out.endswith("28 checks: 26 passed, 2 failed\n")
 
 
 # SHA-256 of the green `cobweb crosscheck` table, the same at every --max-n
-GREEN_TABLE_SHA256 = "85b6786f7770a8214f529a6e605a86fb54fbcf50e5a88c07b5b6118bcdef1250"
+GREEN_TABLE_SHA256 = "cf25de22d91f8eb1e340e6b25bc623a6080b0d6cda26f3b2801b3a1286778467"
 
 
 @pytest.mark.parametrize("max_n", ["1", "4", "10"])

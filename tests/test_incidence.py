@@ -137,8 +137,8 @@ def test_a_level_form_regenerates_its_rows(monkeypatch):
     monkeypatch.setattr(incidence, "_ZETA", {})  # fresh closures, whose rows no other test has read
     for m in {id(m): m for m in level_built_matrices()}.values():  # e.power(1) is e: each object once
         form = m.level_form()
-        # neither construction nor the level routes, the size or the text build the N^2 rows
-        m.size, m.to_dense_text(), m.to_csv(), m.to_json_text(), chain_count(m, 0, m.size - 1, 2)
+        # neither construction nor the level routes, the size or an export build the N^2 rows
+        m.size, m.to_dense_text(), m.to_csv(), m.to_json_text(), m.to_json_dict(), chain_count(m, 0, m.size - 1, 2)
         assert callable(m._rows) and m.level_form() is form
         rows = m.rows
         assert _staircase(*form) == list(rows) and type(rows) is tuple
@@ -225,6 +225,46 @@ def test_closure_does_not_depend_on_the_edge_order(L, drop, down, rnd, data):
         assert got == want and want.startswith("nonzero entry below the diagonal in row ")
     else:
         assert got.rows == want.rows and got.level_form() == want.level_form()
+
+
+@st.composite
+def shared_head_edges(draw):
+    # (L, cover edges) of a hand-built truncate(L): sources repeat a few head sets, each head list in one
+    # order for all its sources, the lists merged at random.  A flawed head set, shared by sources s < t,
+    # holds t (a self-loop at t) or an h between them (an edge down the order at t) that leads below s.
+    L = draw(st.integers(3, 6))
+    n = fib(L + 2)
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        heads = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=5, unique=True))
+        sources = draw(st.lists(st.integers(0, min(heads) - 1), min_size=1, max_size=4, unique=True))
+        groups.append([(i, j) for j in heads for i in sources])
+    flaw = draw(st.sampled_from([None, "self-loop", "down"]))
+    if flaw:
+        s = draw(st.integers(1, n - 3))
+        t = draw(st.integers(s + 2, n - 1))
+        h = t if flaw == "self-loop" else draw(st.integers(s + 1, t - 1))
+        above = draw(st.lists(st.integers(t + 1, n - 1), max_size=2, unique=True)) if t + 1 < n else []
+        groups.append([(i, j) for j in [h, *above] for i in (s, t)])
+        if flaw == "down":
+            groups.append([(h, draw(st.integers(0, s - 1)))])
+    tags = [g for g, edges in enumerate(groups) for _ in edges]
+    draw(st.randoms(use_true_random=False)).shuffle(tags)
+    walks = [iter(edges) for edges in groups]
+    return L, [next(walks[g]) for g in tags]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_head_edges())
+@example((3, [(1, 2), (3, 2), (1, 4), (3, 4), (2, 0)]))  # 1 and 3 share heads (2, 4); 2 leads below 1
+@example((3, [(1, 3), (3, 3), (1, 4), (3, 4)]))  # 1 and 3 share heads (3, 4): a self-loop at 3
+def test_sources_sharing_heads_close_as_the_validating_constructor(case):
+    # the same matrix, or the same error naming the same row, whatever heads the sources share
+    L, edges = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "_ZETA", {})
+        got, want = closure_of_edited_edges(mp, L, lambda _: edges)
+    assert got == want
 
 
 def test_zeta_routes_stay_independent(monkeypatch, capsys):
@@ -661,6 +701,15 @@ def json_dumps_text(m):
 def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
     ends, ta, tb = case
     a = TriangularMatrix._from_levels(ends, da, ta)
+    # every export reads the form alone: no rows built, and fresh lists on each call
+    texts = a.to_dense_text(), a.to_csv(), a.to_json_text()
+    first = a.to_json_dict()
+    assert callable(a._rows)
+    want = {"size": a.size, "rows": [list(row) for row in TriangularMatrix(a.rows).rows]}
+    again = a.to_json_dict()
+    assert first == want == again
+    lists = [first["rows"], *first["rows"], again["rows"], *again["rows"]]
+    assert len({id(x) for x in lists}) == len(lists)
     b = TriangularMatrix._from_levels(ends, db, tb)
     product = a * b
     assert product.level_form()[0] == ends
@@ -673,9 +722,8 @@ def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
         for y in range(a.size):
             for t in (1, 3):
                 assert chain_count(a, x, y, t) == _vec_mat_chains(a.rows, x, y, t)
-    assert a.to_dense_text() == generic_join(a.rows, " ")
-    assert a.to_csv() == generic_join(a.rows, ",")
-    assert a.to_json_text() == json_dumps_text(a)
+    assert texts == (generic_join(a.rows, " "), generic_join(a.rows, ","), json_dumps_text(a))
+    assert texts == (a.to_dense_text(), a.to_csv(), a.to_json_text())  # the same once the rows are built
 
 
 @given(ordinal_sums, st.integers(-2, 2))

@@ -35,7 +35,7 @@ def test_traced_crosscheck_runs_and_times_every_check():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["rc"] == 0
-    assert len(result["names"]) == 25
+    assert len(result["names"]) == 26
     missing = [n for n in result["names"] if f"crosscheck.check.{n}" not in result["stats"]]
     assert missing == []
 
