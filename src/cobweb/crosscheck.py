@@ -245,19 +245,19 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
 
 @_check("export-level-vs-rows")
 def _export_level_vs_rows(cfg: CrosscheckConfig) -> Iterator[Case]:
-    # each export of a level form against the generic one of rows no level form built: zeta's from
-    # the closure's bitsets, mu's as mobius-inverse checks them against back-substitution
+    # each export of a level form against that of rows no level form built: zeta's from the closure's
+    # bitsets, mu's as mobius-inverse checks them against back-substitution
+    exports = ("to_dense_text", "to_csv", "to_json_text", "to_json_dict")
     for L in range(min(cfg.max_n, 10) + 1):
         z = incidence.zeta_from_order(L)
         m = incidence.mobius(z)
-        explicit = incidence.zeta_explicit(z.size)
-        for rows, named in ((z.rows, {"explicit zeta": explicit, "closure": z}), (m.rows, {"mu": m})):
+        zetas = {"explicit zeta": incidence.zeta_explicit(z.size), "closure": z}
+        for rows, named in (z.rows, zetas), (m.rows, {"mu": m}):
             plain = incidence.TriangularMatrix(rows)
-            wants = {e: getattr(plain, e)() for e in ("to_dense_text", "to_csv", "to_json_text", "to_json_dict")}
+            wants = [getattr(plain, e)() for e in exports]
             for name, level in named.items():
                 yield "has a level form", f"{name}, L={L}", level.level_form() is not None, True
-                for export, want in wants.items():
-                    yield export, f"{name}, L={L}", getattr(level, export)(), want
+                yield from ((e, f"{name}, L={L}", getattr(level, e)(), want) for e, want in zip(exports, wants))
 
 
 # --- chain interpretation -------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add, index, mul, or_
 
@@ -143,10 +143,10 @@ class TriangularMatrix:
     # export -----------------------------------------------------------------
 
     def to_dense_text(self) -> str:
-        return "\n".join([*self._lines(" "), ""])
+        return "\n".join([*self._lines(" "), ""]) or "\n"
 
     def to_csv(self) -> str:
-        return "\n".join([*self._lines(","), ""])
+        return "\n".join([*self._lines(","), ""]) or "\n"
 
     def to_json_text(self) -> str:
         """``json.dumps({"schema": 1, **self.to_json_dict()}, indent=2) + "\\n"``, one entry a line."""
@@ -155,8 +155,18 @@ class TriangularMatrix:
         return f'{{\n  "schema": 1,\n  "size": {self.size},\n  "rows": {rows}\n}}\n'
 
     def _lines(self, sep: str) -> list[str]:
+        """Each row's entries joined by ``sep``; of a level form, sliced as ``_staircase`` slices rows."""
         form = self.level_form()
-        return [sep.join(map(str, row)) for row in self.rows] if form is None else _staircase(*form, sep)
+        if form is None:
+            return [sep.join(map(str, row)) for row in self.rows]
+        ends, diag, table = form
+        sizes, d, w, lines = _sizes(ends), str(diag), len(sep) + 1, []
+        for b, (end, size) in enumerate(zip(ends, sizes)):
+            window = ("0" + sep) * (end - 1) + d + (sep + "0") * (size - 1)  # row k starts at cell size-1-k
+            tail = "".join((sep + str(v)) * s for v, s in zip(table[b][b + 1 :], sizes[b + 1 :]))
+            span = (end - 1) * w + len(d)
+            lines += [window[o : o + span] + tail for o in range((size - 1) * w, -1, -w)]
+        return lines
 
     def to_json_dict(self) -> dict:
         form = self.level_form()
@@ -275,19 +285,15 @@ def _sizes(ends) -> list[int]:
     return [end - start for start, end in zip((0, *ends), ends)]
 
 
-def _staircase(ends, diag: int, table, sep: str | None = None, seq=tuple) -> list:
-    """Rows of the level form ``(ends, diag, table)``: row i of block b reads ``diag`` at i, zeros
-    to the block end, then table[b][c] across each block c > b.  A row is a ``seq`` of its entries,
-    or with ``sep`` their text joined by it: one slice of its block's window (zeros, the diagonal,
-    zeros), then its block's tail, each built once."""
-    cell = (lambda v: seq((v,))) if sep is None else (lambda v: sep + str(v))  # a row drops its first sep
-    zero, d, sizes, rows = cell(0), cell(diag), _sizes(ends), []
-    skip, w = len(sep or ""), len(zero)
+def _staircase(ends, diag: int, table, seq=tuple) -> list:
+    """Rows of the level form ``(ends, diag, table)``, each a ``seq``: row i of block b reads ``diag``
+    at i, zeros to the block end, then table[b][c] across each block c > b.  Row k of a block is one
+    slice of the block's window (zeros, the diagonal, zeros), then its tail, each built once."""
+    sizes, rows = _sizes(ends), []
     for b, (end, size) in enumerate(zip(ends, sizes)):
-        window = zero * (end - 1) + d + zero * (size - 1)  # row k of the block starts at cell size-1-k
-        tail = reduce(add, map(mul, map(cell, table[b][b + 1 :]), sizes[b + 1 :]), zero[:0])
-        span = (end - 1) * w + len(d)
-        rows += [window[o + skip : o + span] + tail for o in range((size - 1) * w, -1, -w)]
+        window = seq((0,) * (end - 1) + (diag,) + (0,) * (size - 1))  # row k starts at size-1-k
+        tail = seq(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
+        rows += [window[size - 1 - k : size - 1 - k + end] + tail for k in range(size)]
     return rows
 
 

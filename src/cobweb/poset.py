@@ -107,6 +107,11 @@ class _CoverEdges(Record):
         s = self.starts
         return chain.from_iterable(map(product, map(range, s, s[1:]), map(range, s[1:], s[2:])))
 
+    def __reversed__(self) -> Iterator[tuple[int, int]]:
+        s = self.starts[::-1]
+        lows, highs = map(range, s[2:], s[1:]), map(range, s[1:], s)
+        return chain.from_iterable(map(product, map(reversed, lows), map(reversed, highs)))
+
     def __eq__(self, other):
         if isinstance(other, (tuple, _CoverEdges)):
             return len(self) == len(other) and all(map(eq, self, other))

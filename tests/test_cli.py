@@ -307,13 +307,13 @@ def test_crosscheck_compares_level_and_dense_mobius(capsys, monkeypatch):
 def test_crosscheck_compares_level_text_with_the_rows(capsys, monkeypatch):
     # level text that loses its signs turns export-level-vs-rows red, and only it, since the rows
     # every other row reads are unchanged; the FAIL row shows each text on one line
-    real = crosscheck.incidence._staircase
+    real = crosscheck.incidence.TriangularMatrix._lines
 
-    def unsigned(ends, diag, table, sep=None, seq=tuple):
-        rows = real(ends, diag, table, sep, seq)
-        return [row.replace("-", "") for row in rows] if sep else rows
+    def unsigned(self, sep):
+        lines = real(self, sep)
+        return [line.replace("-", "") for line in lines] if self.level_form() else lines
 
-    monkeypatch.setattr(crosscheck.incidence, "_staircase", unsigned)
+    monkeypatch.setattr(crosscheck.incidence.TriangularMatrix, "_lines", unsigned)
     assert main(["crosscheck", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  export-level-vs-rows: to_dense_text at mu, L=1: got 1 1\\n0 1\\n, want 1 -1\\n0 1\\n\n" in out

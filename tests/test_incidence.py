@@ -272,9 +272,9 @@ def test_zeta_routes_stay_independent(monkeypatch, capsys):
     want = [z.rows for z in closed]  # read before the patch
     real = incidence._staircase
 
-    def broken(ends, diag, table):
+    def broken(ends, diag, table, *rest, **kw):
         # every earlier block loses its ones over the last block
-        return real(ends, diag, [row[:-1] + (0,) for row in table])
+        return real(ends, diag, [row[:-1] + (0,) for row in table], *rest, **kw)
 
     monkeypatch.setattr(incidence, "_staircase", broken)
     monkeypatch.setattr(incidence, "_ZETA", {})  # rebuilt, not read back from the table
@@ -283,7 +283,9 @@ def test_zeta_routes_stay_independent(monkeypatch, capsys):
         assert callable(again._rows)  # so its rows are built while the patch is active
         assert again.rows == want[L] and again.level_form() == z.level_form()
     assert main(["crosscheck", "--max-n", "4"]) == 1
-    assert "FAIL  zeta-two-routes: explicit zeta at L=1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL  zeta-two-routes: explicit zeta at L=1" in out
+    assert "FAIL  export-level-vs-rows: to_json_dict at explicit zeta, L=1" in out and "Error" not in out
 
 
 def test_a_repeated_closure_is_the_same_object():
@@ -694,6 +696,13 @@ def generic_join(rows, sep):
 def json_dumps_text(m):
     # oracle: the CLI's JSON document as json.dumps writes it
     return json.dumps({"schema": 1, **m.to_json_dict()}, indent=2) + "\n"
+
+
+def test_an_empty_matrix_exports_as_the_generic_join():
+    for m in TriangularMatrix([]), TriangularMatrix._from_levels((), 1, ()):
+        assert m.size == 0 and m.to_json_dict() == {"size": 0, "rows": []}
+        assert m.to_dense_text() == m.to_csv() == generic_join((), " ") == "\n"
+        assert m.to_json_text() == json_dumps_text(m)
 
 
 @settings(max_examples=100, deadline=None)
