@@ -121,17 +121,17 @@ def recurrence_class_split(n: int, k: int) -> tuple[int, int]:
     return first, second
 
 
-def brute_force_max_chains(k: int, n: int, source: Vertex | None = None) -> int:
-    """Count saturated chains by explicit DFS over the truncated Hasse diagram.
+def brute_force_max_chains(k: int, n: int, source: Vertex) -> int:
+    """Count saturated chains from the level-k vertex ``source`` to level n by explicit DFS
+    over the truncated Hasse diagram.
 
     Oracle code: every chain is walked, no closed form and no memo.
-    ``source`` fixes one level-k start vertex; None sums the whole level.
     """
     if n > ORACLE_MAX_N:
         raise ValueError(f"DFS oracle bound is {ORACLE_MAX_N}, got n={n}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    if source is not None and source.level != k:
+    if source.level != k:
         raise ValueError(f"source {source} is not at level {k}")
     t = truncate(n)
     adj: list[list[int]] = [[] for _ in range(t.vertex_count)]
@@ -144,5 +144,4 @@ def brute_force_max_chains(k: int, n: int, source: Vertex | None = None) -> int:
             return 1
         return sum(walk(j) for j in adj[i])
 
-    sources = [source] if source is not None else list(t.vertices_at(k))
-    return sum(walk(to_linear(v)) for v in sources)
+    return walk(to_linear(source))

@@ -126,8 +126,8 @@ def _cmd_konvalina(args) -> int:
                 f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {len(digits)} digits"
             )
     weights = lib.konvalina.WeightVector(tuple(int(x) for x in raw))
-    if max(weights) > KONVALINA_MAX_WEIGHT:
-        raise ValueError(f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {max(weights)}")
+    if max(weights.weights) > KONVALINA_MAX_WEIGHT:
+        raise ValueError(f"konvalina weights are bounded by {KONVALINA_MAX_WEIGHT}, got {max(weights.weights)}")
     fn = lib.konvalina.c_first_kind if args.kind == "first" else lib.konvalina.s_second_kind
     value = fn(weights, args.k)
     if args.brute:

@@ -212,7 +212,8 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
 def _eta_nilpotent(cfg: CrosscheckConfig) -> Iterator[Case]:
     for L in range(min(cfg.max_n, 7) + 1):
         e = incidence.eta(incidence.zeta_from_order(L))
-        yield "eta^(L+1) is zero", f"L={L}", e.power(L + 1).is_zero(), True
+        yield "eta^(L+1), so eta, has a level form", f"L={L}", (top := e.power(L + 1)).level_form() is not None, True
+        yield "eta^(L+1) is zero", f"L={L}", top.is_zero(), True
         if L >= 1:
             yield "eta^L is nonzero", f"L={L}", not e.power(L).is_zero(), True
 

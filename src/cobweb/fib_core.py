@@ -26,9 +26,6 @@ class PsiSequence(Record):
         set_field(self, "name", name)
         set_field(self, "values", values)
 
-    def __call__(self, n: int) -> int:
-        return self.values(n)
-
 
 _FIB_CAP = 4096  # a full table holds about 0.9 MB (0.25 MB filled to n = 2000)
 _FIB = [0, 1]  # _FIB[i] = F_i, grown on demand up to _FIB_CAP
@@ -80,7 +77,7 @@ NATURAL = PsiSequence("natural", lambda n: n)
 
 
 def psi_factorial(seq: PsiSequence, n: int) -> int:
-    """Product seq(n) * seq(n-1) * ... * seq(1); the empty product is 1."""
+    """Product seq.values(n) * seq.values(n-1) * ... * seq.values(1); the empty product is 1."""
     if n < 0:
         raise ValueError(f"psi_factorial expects n >= 0, got {n}")
     values = [seq.values(m) for m in range(n, 0, -1)][::-1]  # read from the top: a table (fib) grows in one call
@@ -91,7 +88,7 @@ def psi_factorial(seq: PsiSequence, n: int) -> int:
 
 
 def psi_falling(seq: PsiSequence, x: int, k: int) -> int:
-    """Falling product of k consecutive sequence values descending from seq(x)."""
+    """Falling product of k consecutive sequence values descending from seq.values(x)."""
     if k < 0:
         raise ValueError(f"psi_falling expects k >= 0, got {k}")
     if k > x:

@@ -149,10 +149,12 @@ class TriangularMatrix:
         return "\n".join([*self._lines(","), ""]) or "\n"
 
     def to_json_text(self) -> str:
-        """``json.dumps({"schema": 1, **self.to_json_dict()}, indent=2) + "\\n"``, one entry a line."""
-        rows = "\n    ],\n    [\n      ".join(self._lines(",\n      "))
-        rows = f"[\n    [\n      {rows}\n    ]\n  ]" if rows else "[]"
-        return f'{{\n  "schema": 1,\n  "size": {self.size},\n  "rows": {rows}\n}}\n'
+        """``json.dumps({"schema": 1, **self.to_json_dict()}, indent=2) + "\\n"``, one entry a line, joined once."""
+        lines = self._lines(",\n      ")
+        head, tail = ("[\n    [\n      ", "\n    ]\n  ]") if lines else ("[", "]")
+        lines[:1] = [f'{{\n  "schema": 1,\n  "size": {self.size},\n  "rows": {head}' + "".join(lines[:1])]
+        lines[-1] += tail + "\n}\n"
+        return "\n    ],\n    [\n      ".join(lines)
 
     def _lines(self, sep: str) -> list[str]:
         """Each row's entries joined by ``sep``; of a level form, sliced as ``_staircase`` slices rows."""

@@ -13,7 +13,7 @@ k = 1 column forces w_1 = F_1 = 1 and then w_1 + w_2 = F_2 = 1, so w_2 = 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import combinations, combinations_with_replacement
 
 from .record import Record
@@ -34,15 +34,6 @@ class WeightVector(Record):
             raise ValueError(f"weights must be >= 1, got {w}")
         if any(a > b for a, b in zip(w, w[1:])):
             raise ValueError(f"weights must be nondecreasing, got {w}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.weights)
-
-    def __getitem__(self, i: int) -> int:
-        return self.weights[i]
 
 
 def _weights(w: WeightVector | Iterable[int]) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ import math
 from collections.abc import Iterator
 from functools import partial, total_ordering
 from itertools import chain, combinations, product
-from operator import eq
 
 from .fib_core import fib
 from .record import Record, set_field
@@ -91,8 +90,8 @@ def leq(u: Vertex, v: Vertex) -> bool:
 class _CoverEdges(Record):
     """The cover pairs (i, j) of a library truncation, read off its ``starts``: the first linear index of
     each level, then the vertex count.  Levels a..b and b..c give ``product(range(a, b), range(b, c))``;
-    each walk yields these blocks afresh, and no pair is kept.  It compares and hashes as the tuple of
-    its pairs does."""
+    each walk yields these blocks afresh, and no pair is kept.  Like any record it compares and hashes
+    by its ``starts``, in O(L), so it never equals a tuple of the same pairs."""
 
     __slots__ = ("starts",)
 
@@ -107,26 +106,13 @@ class _CoverEdges(Record):
         s = self.starts
         return chain.from_iterable(map(product, map(range, s, s[1:]), map(range, s[1:], s[2:])))
 
-    def __reversed__(self) -> Iterator[tuple[int, int]]:
-        s = self.starts[::-1]
-        lows, highs = map(range, s[2:], s[1:]), map(range, s[1:], s)
-        return chain.from_iterable(map(product, map(reversed, lows), map(reversed, highs)))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _CoverEdges)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
 
 class CobwebTruncation(Record):
     """All levels 0..max_level with the complete bipartite cover edges.
 
-    ``vertices`` is in linear-index order, ``edges`` holds cover pairs as
-    linear indices: a view over the level starts in a library truncation,
-    any tuple of pairs in a hand-built one.  Immutable after construction.
+    ``vertices`` is in linear-index order: level s is ``level_size(s)`` vertices from ``to_linear(Vertex(s, 1))`` on.
+    ``edges`` holds cover pairs as linear indices: a view over the level starts in a library truncation,
+    any tuple of pairs in a hand-built one, so the two never compare equal.  Immutable after construction.
     """
 
     __slots__ = ("max_level", "vertices", "edges")
@@ -137,11 +123,6 @@ class CobwebTruncation(Record):
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def vertices_at(self, s: int) -> tuple[Vertex, ...]:
-        if not 0 <= s <= self.max_level:
-            raise ValueError(f"level {s} outside 0..{self.max_level}")
-        return tuple(v for v in self.vertices if v.level == s)
 
 
 _KEPT = 14  # truncate(0..14) kept whole: 987 vertices in truncate(14), its 142 130 edges a view over 16 starts

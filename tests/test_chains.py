@@ -62,7 +62,8 @@ def test_max_chains_level_to_level():
 def test_level_to_level_matches_dfs():
     for n in range(1, 7):
         for k in range(1, n + 1):
-            assert max_chains_level_to_level(k, n) == brute_force_max_chains(k, n)
+            dfs = sum(brute_force_max_chains(k, n, Vertex(k, j)) for j in range(1, level_size(k) + 1))
+            assert max_chains_level_to_level(k, n) == dfs
 
 
 def test_fibonomial_via_chains_values():

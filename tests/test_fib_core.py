@@ -178,14 +178,14 @@ def test_psi_binomial_returns_exact_rational():
 
 def test_geometric_sequence():
     g = PsiSequence("geometric(3)", lambda n: 3 ** (n - 1))
-    assert [g(n) for n in range(1, 5)] == [1, 3, 9, 27]
+    assert [g.values(n) for n in range(1, 5)] == [1, 3, 9, 27]
     assert psi_factorial(g, 3) == 27
     assert psi_binomial(g, 4, 2) == 3 ** (2 * 2)  # q^(k(n-k))
 
 
 def test_fibonacci_sequence_instance():
-    assert FIBONACCI(0) == 0
-    assert [FIBONACCI(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
+    assert FIBONACCI.values(0) == 0
+    assert [FIBONACCI.values(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
     assert math.gcd(fibonomial_def(30, 15), 1) >= 1  # big values stay exact ints
     assert isinstance(fibonomial_def(40, 20), int)
 

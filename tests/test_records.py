@@ -100,7 +100,7 @@ def test_record_defaults_and_the_frozen_config():
     with pytest.raises(AttributeError):
         cfg.oracle_max_n = 12
     assert cfg == CrosscheckConfig(10, 7)
-    assert FIBONACCI(10) == 55 and FIBONACCI.name == "fibonacci"
+    assert FIBONACCI.values(10) == 55 and FIBONACCI.name == "fibonacci"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -127,5 +127,5 @@ def test_invalid_records_raise_the_same_errors(build, message):
 
 def test_weight_vector_normalizes_its_entries():
     w = WeightVector(["1", 2, 2.0])
-    assert w.weights == (1, 2, 2) and list(w) == [1, 2, 2] and len(w) == 3 and w[0] == 1
+    assert w.weights == (1, 2, 2)
     assert repr(w) == "WeightVector(weights=(1, 2, 2))"
