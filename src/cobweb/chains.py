@@ -123,9 +123,9 @@ def recurrence_class_split(n: int, k: int) -> tuple[int, int]:
 
 def brute_force_max_chains(k: int, n: int, source: Vertex) -> int:
     """Count saturated chains from the level-k vertex ``source`` to level n by explicit DFS
-    over the truncated Hasse diagram.
+    over the cover pairs that ``truncate(n).edges`` yields, never the ``_cover_heads`` that zeta closes.
 
-    Oracle code: every chain is walked, no closed form and no memo.
+    Oracle code: every chain is walked, no closed form and no memo.  Its crosscheck rows read pairs, not heads.
     """
     if n > ORACLE_MAX_N:
         raise ValueError(f"DFS oracle bound is {ORACLE_MAX_N}, got n={n}")

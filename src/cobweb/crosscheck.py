@@ -157,6 +157,7 @@ def _edge_counts(cfg: CrosscheckConfig) -> Iterator[Case]:
         t = poset.truncate(L)
         want = sum(poset.level_size(s) * poset.level_size(s + 1) for s in range(L))
         yield "edge count", f"L={L}", len(t.edges), want
+        yield "cover heads", f"L={L}", [(i, j) for i, hs in enumerate(poset._cover_heads(t)) for j in hs], [*t.edges]
         yield "vertex count", f"L={L}", t.vertex_count, fib_core.fib(L + 2)
 
 

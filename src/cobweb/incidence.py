@@ -18,7 +18,7 @@ from math import prod
 from operator import add, index, mul, or_
 
 from .fib_core import fib
-from .poset import _KEPT, level_size, truncate
+from .poset import _KEPT, _cover_heads, level_size, truncate
 
 
 class TriangularMatrix:
@@ -187,10 +187,9 @@ _ZETA: dict[int, tuple] = {}  # L -> (the truncation closed, zeta_from_order(L))
 def zeta_from_order(max_level: int) -> TriangularMatrix:
     """Zeta matrix as the reflexive-transitive closure of the Hasse diagram.
 
-    Row i is the int bitset of the vertices reachable from i; covers lead to
-    later indices, so the rows close from the last vertex down, each ORing in
-    the rows its edges lead to, bucketed by source in any order; sources with
-    the same heads, all above them, share one OR (in the cobweb, one a level).  Only the
+    Row i is the int bitset of the vertices reachable from i; covers lead to later indices, so the rows
+    close from the last vertex down, each ORing in the rows of its heads from ``poset._cover_heads``, one
+    range a level for a library view and no pair walked; equal heads above their sources share one OR.  Only the
     cover edges and the linear order are read, nothing of the staircase route:
     the rows are expanded from the bitsets on their first read, and the level
     form is read off the bitsets by ``_reach_levels``.  A closure through ``_KEPT``, the
@@ -202,13 +201,9 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     if kept and kept[0] is t:
         return kept[1]
     n = t.vertex_count
-    heads: list[list[int]] = [[] for _ in range(n)]  # heads[i]: each j of an edge (i, j)
-    for i, j in t.edges:
-        heads[i].append(j)
     reach = [1 << i for i in range(n)]
-    shared: dict[tuple, int] = {}  # heads -> the OR of their rows, kept only if every head lies above its source
-    for i in range(n - 1, -1, -1):  # a later head's row is closed already; an earlier one's is still its own bit
-        hs = tuple(heads[i])
+    shared: dict[tuple | range, int] = {}  # heads -> the OR of their rows, kept only if all lie above their source
+    for i, hs in reversed([*enumerate(_cover_heads(t))]):  # a later head's row is closed, an earlier one's its own bit
         if (up := shared.get(hs)) is None:  # a hit came from a later source, so these heads lie above i too
             up = reduce(or_, map(reach.__getitem__, hs), 0)
             if hs and min(hs) > i:

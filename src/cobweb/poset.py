@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from functools import partial, total_ordering
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 
 from .fib_core import fib
 from .record import Record, set_field
@@ -89,9 +89,9 @@ def leq(u: Vertex, v: Vertex) -> bool:
 
 class _CoverEdges(Record):
     """The cover pairs (i, j) of a library truncation, read off its ``starts``: the first linear index of
-    each level, then the vertex count.  Levels a..b and b..c give ``product(range(a, b), range(b, c))``;
-    each walk yields these blocks afresh, and no pair is kept.  Like any record it compares and hashes
-    by its ``starts``, in O(L), so it never equals a tuple of the same pairs."""
+    each level, then the vertex count.  Levels a..b and b..c give ``product(range(a, b), range(b, c))``, and
+    ``_cover_heads`` gives each source in a..b the one object ``range(b, c)``; no pair is kept.  Like any
+    record it compares and hashes by its ``starts``, in O(L), so it never equals a tuple of the same pairs."""
 
     __slots__ = ("starts",)
 
@@ -112,7 +112,7 @@ class CobwebTruncation(Record):
 
     ``vertices`` is in linear-index order: level s is ``level_size(s)`` vertices from ``to_linear(Vertex(s, 1))`` on.
     ``edges`` holds cover pairs as linear indices: a view over the level starts in a library truncation,
-    any tuple of pairs in a hand-built one, so the two never compare equal.  Immutable after construction.
+    any tuple of pairs in a hand-built one, never equal to it; ``_cover_heads`` reads both.  Immutable once built.
     """
 
     __slots__ = ("max_level", "vertices", "edges")
@@ -123,6 +123,18 @@ class CobwebTruncation(Record):
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+
+def _cover_heads(t: CobwebTruncation) -> list:
+    """Each vertex's cover heads by linear index, one hashable object each (``zeta_from_order`` keys on them)."""
+    if not isinstance(t.edges, _CoverEdges):  # a hand-built truncation's pairs, bucketed in edge order
+        heads = [[] for _ in range(t.vertex_count)]
+        for i, j in t.edges:
+            heads[i].append(j)
+        return list(map(tuple, heads))
+    s = t.edges.starts  # level a..b covers range(b, c): one object for its b - a vertices, read off no pair
+    heads = [h for a, b, c in zip(s, s[1:], s[2:]) for h in repeat(range(b, c), b - a)]
+    return heads + [()] * (t.vertex_count - len(heads))  # the last level, and any vertex past the view: ()
 
 
 _KEPT = 14  # truncate(0..14) kept whole: 987 vertices in truncate(14), its 142 130 edges a view over 16 starts

@@ -3,6 +3,7 @@ import json
 import pickle
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,6 +342,44 @@ def test_the_closure_table_never_compares_edges(monkeypatch):
         again = zeta_from_order(L)
         assert again is not z and again.rows == z.rows and again.level_form() == z.level_form()
         assert zeta_from_order(L) is again
+
+
+def test_a_library_closure_never_walks_its_pairs(monkeypatch):
+    first = [zeta_from_order(L) for L in range(poset._KEPT + 2)]
+    want = [(z.rows, z.level_form()) for z in first]  # read before the patch
+
+    def pair_by_pair(edges):
+        raise AssertionError("the edge view was walked")
+
+    monkeypatch.setattr(poset._CoverEdges, "__iter__", pair_by_pair)
+    monkeypatch.setattr(incidence, "_ZETA", {})
+    monkeypatch.setattr(poset, "_TRUNCATIONS", [])  # new truncations, so each closure is built again
+    for L, z in enumerate(first):
+        again = zeta_from_order(L)
+        assert again is not z and (again.rows, again.level_form()) == want[L]
+
+
+def test_cover_heads_expand_to_the_pairs(monkeypatch):
+    for L in range(poset._KEPT + 2):
+        t = truncate(L)
+        heads = poset._cover_heads(t)
+        assert len(heads) == t.vertex_count
+        assert [(i, j) for i, hs in enumerate(heads) for j in hs] == list(t.edges)
+        assert heads[-1] == () and all(type(hs) is range for hs in heads[: -level_size(L)])
+        assert len({id(hs) for hs in heads}) == L + 1  # one range per level below the top, and ()
+    # one vertex past the view covers nothing
+    t = truncate(6)
+    grown = CobwebTruncation(6, t.vertices + (Vertex(7, 1),), t.edges)
+    assert poset._cover_heads(grown) == poset._cover_heads(t) + [()]
+    # a hand-built tuple: each source's heads in edge order, a tuple for every vertex
+    hand = CobwebTruncation(2, t.vertices[:3], ((1, 2), (0, 2), (0, 1)))
+    assert poset._cover_heads(hand) == [(2, 1), (2,), ()]
+    # a view over more vertices than the truncation holds: an index past the rows, as with the pairs
+    for L, more in product(range(8), (1, 2)):
+        short = CobwebTruncation(L, truncate(L).vertices, truncate(L + more).edges)
+        monkeypatch.setattr(incidence, "truncate", lambda max_level: short)
+        with pytest.raises(IndexError):
+            zeta_from_order(L)
 
 
 def test_zeta_explicit_is_the_leading_block_at_every_size():
