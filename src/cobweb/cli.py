@@ -19,7 +19,7 @@ lib = sys.modules[__package__]  # the cobweb package: lib.<module> imports that 
 ZETA_MAX_LEVELS = 12
 HASSE_MAX_LEVELS = 10
 FIB_MAX_N = 4_000_000  # about 0.25 s to compute and 0.4 s to print its 835 951 digits (libmpdec)
-FENCE_MAX_N = 200_000  # about 1 s; the sweep's additions grow with n, so the cost is quadratic
+FENCE_MAX_N = 200_000  # 0.49-0.63 s in-process (2 vCPUs); the sweep's additions grow with n, so the cost is quadratic
 KONVALINA_MAX = 1000  # on k and on the weight count; 1000 weights of 2 at k = 1000 take 0.5 s
 KONVALINA_MAX_WEIGHT = 9999  # the DP's cost grows with weight size: 1000 of these at k = 1000 take 1 s
 

@@ -207,6 +207,10 @@ def _mobius_inverse(cfg: CrosscheckConfig) -> Iterator[Case]:
         yield "level vs Kronecker product", f"L={L}", product.rows, dense.rows
         yield "mu * zeta = delta", f"L={L}", product.rows, ident
         yield "zeta * mu = delta", f"L={L}", (z * m).rows, ident
+        levels = [poset.from_linear(i).level for i in range(z.size)] if L <= 6 else []
+        for x, y in ((x, y) for y in range(len(levels)) for x in range(y)):  # Hall: mu sums chains by sign
+            hall = sum((-1) ** t * incidence.chain_count(z, x, y, t) for t in range(1, levels[y] - levels[x] + 1))
+            yield "Hall's alternating chain sum", f"L={L}, {x} < {y}", hall, m.entry(x, y)
 
 
 @_check("eta-nilpotent")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial, reduce
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import prod
 from operator import add, index, mul, or_
 
@@ -157,7 +157,7 @@ class TriangularMatrix:
         return "\n    ],\n    [\n      ".join(lines)
 
     def _lines(self, sep: str) -> list[str]:
-        """Each row's entries joined by ``sep``; of a level form, sliced as ``_staircase`` slices rows."""
+        """Each row's entries joined by ``sep``; of a level form, a slice of its block's text window, then the tail."""
         form = self.level_form()
         if form is None:
             return [sep.join(map(str, row)) for row in self.rows]
@@ -243,21 +243,16 @@ def zeta_explicit(size: int) -> TriangularMatrix:
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
     """Exact inverse of a unitriangular matrix.
 
-    On a level form with diagonal 1 (every cobweb zeta matrix has one), mu
-    has one on the same blocks: mu(b, c) = -(zeta(b, c) + sum_{b<l<c} |B_l|
-    mu(b, l) zeta(l, c)).  Any other matrix falls back to back-substitution,
-    which is also the oracle for the level route.
-    """
+    On an ordinal sum of antichains (a level form with diagonal 1 and all ones above the block diagonal, as every
+    cobweb zeta) mu(b, c) = (-1)^(c-b) prod_{b<l<c} (|B_l| - 1), Hall's alternating sum of chain counts, in O(L^2).
+    Any other matrix falls back to back-substitution, which is also the oracle for the closed form."""
     form = z.level_form()
-    if form is None or form[1] != 1:
+    if form is None or form[1] != 1 or any(v != 1 for b, row in enumerate(form[2]) for v in row[b + 1 :]):
         return _back_substitute(z)
-    ends, _, zt = form
-    sizes = _sizes(ends)
-    mu = [[0] * len(ends) for _ in ends]
-    for b in range(len(ends)):
-        for c in range(b + 1, len(ends)):
-            mu[b][c] = -(zt[b][c] + sum(sizes[l] * mu[b][l] * zt[l][c] for l in range(b + 1, c)))
-    return TriangularMatrix._from_levels(ends, 1, mu)
+    sizes, table = _sizes(form[0]), []
+    for b in range(len(sizes)):  # mu(b, b + 1) = -1, then a factor 1 - |B_l| for each block l passed
+        table.append((0,) * (b + 1) + tuple(accumulate((1 - s for s in sizes[b + 1 :]), mul, initial=-1))[:-1])
+    return TriangularMatrix._from_levels(form[0], 1, table)
 
 
 def _reach_levels(reach: list[int]):
@@ -284,13 +279,15 @@ def _sizes(ends) -> list[int]:
 
 def _staircase(ends, diag: int, table, seq=tuple) -> list:
     """Rows of the level form ``(ends, diag, table)``, each a ``seq``: row i of block b reads ``diag``
-    at i, zeros to the block end, then table[b][c] across each block c > b.  Row k of a block is one
-    slice of the block's window (zeros, the diagonal, zeros), then its tail, each built once."""
+    at i, zeros to the block end, then table[b][c] across each block c > b.  A block's rows are copies
+    of one template, zeros then the block's tail, each taken with its diagonal cell set, then cleared."""
     sizes, rows = _sizes(ends), []
     for b, (end, size) in enumerate(zip(ends, sizes)):
-        window = seq((0,) * (end - 1) + (diag,) + (0,) * (size - 1))  # row k starts at size-1-k
-        tail = seq(chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :])))
-        rows += [window[size - 1 - k : size - 1 - k + end] + tail for k in range(size)]
+        base = [0] * end + [*chain.from_iterable(map(repeat, table[b][b + 1 :], sizes[b + 1 :]))]
+        for i in range(end - size, end):
+            base[i] = diag
+            rows.append(seq(base))
+            base[i] = 0
     return rows
 
 

@@ -183,8 +183,7 @@ def to_dot(t: CobwebTruncation) -> str:
         lines.append(f'  v{i} [label="({v.pos},{v.level})"];')
         ranks.setdefault(v.level, []).append(f"v{i};")
     lines += (f"  {{ rank=same; {' '.join(ids)} }}" for ids in ranks.values())
-    for i, j in t.edges:
-        lines.append(f"  v{i} -> v{j};")
+    lines += (f"  v{i} -> v{j};" for i, j in t.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -220,19 +219,14 @@ def count_copies_rooted(root: Vertex, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"height must be >= 0, got {m}")
-    k = root.level
-    out = 1
-    for i in range(1, m + 1):
-        out *= math.comb(level_size(k + i), level_size(i))
-    return out
+    return math.prod(math.comb(level_size(root.level + i), level_size(i)) for i in range(1, m + 1))
 
 
 def enumerate_copies_rooted(root: Vertex, m: int) -> Iterator[CobwebCopy]:
     """Yield every height-m copy rooted at ``root`` in deterministic order."""
     if m < 0:
         raise ValueError(f"height must be >= 0, got {m}")
-    k = root.level
-    pools = [combinations(_level(k + i), level_size(i)) for i in range(1, m + 1)]
+    pools = [combinations(_level(root.level + i), level_size(i)) for i in range(1, m + 1)]
     for chosen in product(*pools):  # valid by construction: set the fields without __init__
         copy = CobwebCopy.__new__(CobwebCopy)
         set_field(copy, "root", root)

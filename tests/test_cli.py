@@ -284,7 +284,8 @@ def test_crosscheck_checks_chain_count_against_dfs(capsys, monkeypatch):
     assert main(["crosscheck", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  strict-chains-dfs: chain_count totals" in out
-    assert out.count("FAIL") == 1
+    assert "FAIL  mobius-inverse: Hall's alternating chain sum at L=2, 0 < 2" in out  # t = 2 from L = 2 on
+    assert out.count("FAIL") == 2
 
 
 def test_gv_negative_k_is_a_cobweb_usage_error(capsys):

@@ -43,6 +43,17 @@ def brute_mobius(z):
     return out
 
 
+def level_mobius_recursion(ends, table):
+    # oracle: mu's table on the same blocks as a level form with diagonal 1, by the O(L^3) recursion
+    # mu(b, c) = -(zeta(b, c) + sum_{b<l<c} |B_l| mu(b, l) zeta(l, c)); it shares nothing with the closed form
+    sizes = [end - start for start, end in zip((0, *ends), ends)]
+    mu = [[0] * len(ends) for _ in ends]
+    for b in range(len(ends)):
+        for c in range(b + 1, len(ends)):
+            mu[b][c] = -(table[b][c] + sum(sizes[l] * mu[b][l] * table[l][c] for l in range(b + 1, c)))
+    return mu
+
+
 def dfs_strict_chains(z, x, y):
     # oracle: walk every strict chain from x to y
     total = 0
@@ -458,11 +469,35 @@ def assert_exact_inverse(z, m):
 @given(block_sizes)
 def test_mobius_level_route_matches_back_substitution(sizes):
     ends = tuple(sum(sizes[: b + 1]) for b in range(len(sizes)))
-    z = TriangularMatrix._from_levels(ends, 1, ((1,) * len(sizes),) * len(sizes))
-    assert [list(row) for row in z.rows] == ordinal_sum_zeta(sizes)
+    ones = ((1,) * len(sizes),) * len(sizes)
+    z = TriangularMatrix._from_levels(ends, 1, ones)
     m = mobius(z)
+    # the closed form reads the table alone: neither matrix has built its rows when mobius returns
+    assert callable(z._rows) and callable(m._rows)
+    assert m.level_form()[:2] == (ends, 1)
+    assert [list(row) for row in m.level_form()[2]] == level_mobius_recursion(ends, ones)
+    assert [list(row) for row in z.rows] == ordinal_sum_zeta(sizes)
     assert m == _back_substitute(z)
     assert_exact_inverse(z, m)
+
+
+def test_mobius_closed_form_matches_the_level_recursion_up_to_100_levels():
+    for L in [*range(25), *range(30, 101, 10)]:  # the recursion is O(L^3): 50 ms at L = 100
+        z = zeta_explicit(fib(L + 2))
+        ends, _, table = z.level_form()
+        assert [list(row) for row in mobius(z).level_form()[2]] == level_mobius_recursion(ends, table)
+
+
+def test_mobius_of_a_cobweb_zeta_reads_no_rows(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("mobius built or read rows")
+
+    monkeypatch.setattr(incidence, "_back_substitute", refuse)
+    monkeypatch.setattr(TriangularMatrix, "rows", property(refuse))
+    for L in range(15):
+        for z in zeta_from_order(L), zeta_explicit(fib(L + 2)):
+            m = mobius(z)
+            assert m.level_form()[0] == z.level_form()[0] and callable(m._rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -737,6 +772,17 @@ def json_dumps_text(m):
     return json.dumps({"schema": 1, **m.to_json_dict()}, indent=2) + "\n"
 
 
+def test_each_json_row_is_its_own_list():
+    z = zeta_from_order(5)
+    for m in zeta_explicit(fib(7)), z, mobius(z), eta(z).power(2), TriangularMatrix([[1, 2], [0, 3]]):
+        want = m.to_json_dict()
+        for i in range(m.size):
+            doc = m.to_json_dict()
+            doc["rows"][i][:] = [None] * (m.size + 1)  # every cell of row i, and one more
+            assert doc["rows"][:i] + doc["rows"][i + 1 :] == want["rows"][:i] + want["rows"][i + 1 :]
+            assert m.to_json_dict() == want
+
+
 def test_an_empty_matrix_exports_as_the_generic_join():
     for m in TriangularMatrix([]), TriangularMatrix._from_levels((), 1, ()):
         assert m.size == 0 and m.to_json_dict() == {"size": 0, "rows": []}
@@ -765,7 +811,10 @@ def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
     assert product == TriangularMatrix(a.rows) * TriangularMatrix(b.rows)
     assert [list(row) for row in product.rows] == naive_product(a.rows, b.rows)
     u = TriangularMatrix._from_levels(ends, 1, ta)
-    assert mobius(u) == _back_substitute(u)
+    mu = mobius(u)
+    assert mu == _back_substitute(u)
+    assert TriangularMatrix(mu.rows) * u == TriangularMatrix.identity(u.size)  # rows without a form: Kronecker
+    assert TriangularMatrix._from_levels(ends, 1, level_mobius_recursion(ends, ta)) == _back_substitute(u)
     for x in range(a.size):
         for y in range(a.size):
             for t in (1, 3):
