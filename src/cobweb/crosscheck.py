@@ -239,12 +239,16 @@ def _strict_chains_dfs(cfg: CrosscheckConfig) -> Iterator[Case]:
 
     lengths = range(1, max(L, 1) + 1)
     powers = [incidence.eta(z).power(t) for t in lengths]
+    levels = [poset.from_linear(i).level for i in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             want = dfs_count(x, y)
             yield "eta power sum", (x, y), sum(p.entry(x, y) for p in powers), want
             counts = [incidence.chain_count(z, x, y, t) for t in lengths]
             yield "chain_count totals", (x, y), sum(counts), want
+            between = [poset.level_size(l) for l in range(levels[x] + 1, levels[y])]  # t steps pick t - 1 of them
+            boxes = [konvalina.c_first_kind(between, t - 1) if t <= levels[y] - levels[x] else 0 for t in lengths]
+            yield "first-kind boxes of the level sizes between", (x, y), counts, boxes
             dense = [incidence._vec_mat_chains(z.rows, x, y, t) for t in lengths]
             yield "level vs dense chain_count", (x, y), counts, dense
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 from math import prod
 from operator import add, index, mul, or_
 
@@ -44,19 +44,18 @@ class TriangularMatrix:
     # construction helpers -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, build, levels) -> "TriangularMatrix":
-        """Trusted path for library-built rows of ints, square and upper triangular by construction:
-        no ``__init__``.  ``build()`` returns them on their first read; ``levels`` is the form or None."""
+    def _trusted(cls, levels, build=None) -> "TriangularMatrix":
+        """Trusted path, no ``__init__``, for what the library computed from ints, square and upper triangular: its
+        level form ``levels`` as built, or None, and ``build()``, by default the staircase, for the rows' first read."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "_rows", build)
+        object.__setattr__(m, "_rows", build or partial(_staircase, *levels))
         object.__setattr__(m, "_levels", levels)
         return m
 
     @classmethod
     def _from_levels(cls, ends, diag, table) -> "TriangularMatrix":
-        """Staircase rows of a library-built level form; the O(L^2) table is coerced once."""
-        form = (tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table))
-        return cls._trusted(partial(_staircase, *form), form)
+        """A level form from outside the library's arithmetic (copy, pickle, tests), coerced by ``index``."""
+        return cls._trusted((tuple(map(index, ends)), index(diag), tuple(tuple(map(index, row)) for row in table)))
 
     @classmethod
     def identity(cls, n: int) -> "TriangularMatrix":
@@ -114,7 +113,7 @@ class TriangularMatrix:
         if a and b and a[0] == b[0]:
             sizes = _sizes(a[0])
             table = tuple(_level_row(sizes, r, a[1], row, b[1], b[2]) for r, row in enumerate(a[2]))
-            return TriangularMatrix._from_levels(a[0], a[1] * b[1], table)
+            return TriangularMatrix._trusted((a[0], a[1] * b[1], table))
         n = self.size
         w = (n * _entry_bound(self.rows) * _entry_bound(other.rows)).bit_length() // 8 + 1
         lift = 1 << (8 * w - 1)
@@ -216,7 +215,7 @@ def zeta_from_order(max_level: int) -> TriangularMatrix:
     def rows():  # only ever from the bitsets, never from the level form or the staircase
         digits = bytes.maketrans(b"01", b"\0\1")
         return (tuple(format(r, f"0{n}b")[::-1].encode().translate(digits)) for r in reach)
-    z = TriangularMatrix._trusted(rows, _reach_levels(reach))
+    z = TriangularMatrix._trusted(_reach_levels(reach), rows)
     if max_level <= _KEPT:
         _ZETA[max_level] = t, z
     return z
@@ -234,10 +233,8 @@ def zeta_explicit(size: int) -> TriangularMatrix:
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    ends: list[int] = []
-    while not ends or ends[-1] < size:
-        ends.append(min(fib(len(ends) + 2), size))  # level s ends before index F_{s+2}
-    return TriangularMatrix._from_levels(ends, 1, ((1,) * len(ends),) * len(ends))
+    ends = (*takewhile(size.__gt__, map(fib, count(2))), index(size))  # level s ends before index F_{s+2}
+    return TriangularMatrix._trusted((ends, 1, ((1,) * len(ends),) * len(ends)))
 
 
 def mobius(z: TriangularMatrix) -> TriangularMatrix:
@@ -252,7 +249,7 @@ def mobius(z: TriangularMatrix) -> TriangularMatrix:
     sizes, table = _sizes(form[0]), []
     for b in range(len(sizes)):  # mu(b, b + 1) = -1, then a factor 1 - |B_l| for each block l passed
         table.append((0,) * (b + 1) + tuple(accumulate((1 - s for s in sizes[b + 1 :]), mul, initial=-1))[:-1])
-    return TriangularMatrix._from_levels(form[0], 1, table)
+    return TriangularMatrix._trusted((form[0], 1, tuple(table)))
 
 
 def _reach_levels(reach: list[int]):
@@ -291,12 +288,12 @@ def _staircase(ends, diag: int, table, seq=tuple) -> list:
     return rows
 
 
-def _level_row(sizes, b: int, da: int, row, db: int, tb) -> tuple[int, ...]:
-    """Table row b of A * B from A's diagonal ``da`` and table row ``row`` and B's (``db``, ``tb``):
-    P(b, c) = da B(b, c) + A(b, c) db + sum_{b<l<c} |B_l| A(b, l) B(l, c)."""
+def _level_row(sizes, b: int, da: int, row, db: int, tb, cols=None) -> tuple[int, ...]:
+    """Table row b of A * B from A's diagonal ``da`` and table row ``row``, and B's (``db``, ``tb``): zeros to b, then
+    each entry (or those at ``cols``) in O(L): P(b, c) = da B(b, c) + A(b, c) db + sum_{b<l<c} |B_l| A(b, l) B(l, c)."""
     return (0,) * (b + 1) + tuple(
         da * tb[b][c] + row[c] * db + sum(sizes[l] * row[l] * tb[l][c] for l in range(b + 1, c))
-        for c in range(b + 1, len(sizes))
+        for c in cols or range(b + 1, len(sizes))
     )
 
 
@@ -328,7 +325,7 @@ def eta(z: TriangularMatrix) -> TriangularMatrix:
     form = z.level_form()
     if form is None:
         return TriangularMatrix([[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(z.rows)])
-    return TriangularMatrix._from_levels(form[0], form[1] - 1, form[2])
+    return TriangularMatrix._trusted((form[0], form[1] - 1, form[2]))
 
 
 def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
@@ -336,7 +333,8 @@ def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
 
     Entry (x, y) of eta^length with eta = zeta - delta.  Only row x is
     carried, so eta is never built: on a level form it is the table row of
-    x's block, stepped in O(L^2); otherwise ``_vec_mat_chains`` steps it.
+    x's block, stepped length - 2 times in O(L^2), then y's entry alone in O(L)
+    (length 1 reads the table; x = y is (diag - 1)^length); else ``_vec_mat_chains``.
     """
     n = z.size
     if not (0 <= x < n and 0 <= y < n):
@@ -347,12 +345,13 @@ def chain_count(z: TriangularMatrix, x: int, y: int, length: int) -> int:
     if form is None:
         return _vec_mat_chains(z.rows, x, y, length)
     ends, diag, table = form
-    sizes = _sizes(ends)
-    b, c = bisect_right(ends, x), bisect_right(ends, y)
-    d, row = diag - 1, table[b]  # row x of eta: d at x, then the table row of its block
-    for _ in range(length - 1):
-        d, row = d * (diag - 1), _level_row(sizes, b, d, row, diag - 1, table)
-    return d if x == y else row[c] if b < c else 0
+    b, c, e = bisect_right(ends, x), bisect_right(ends, y), diag - 1
+    if x == y or b >= c or length == 1:  # length 1 reads the table; eta^length is 0 within and below x's block
+        return e**length if x == y else table[b][c] if b < c else 0
+    sizes, d, row = _sizes(ends), e, table[b]  # row x of eta: e at x, then the table row of its block
+    for _ in range(length - 2):
+        d, row = d * e, _level_row(sizes, b, d, row, e, table)
+    return _level_row(sizes, b, d, row, e, table, (c,))[-1]
 
 
 def _vec_mat_chains(rows, x: int, y: int, length: int) -> int:

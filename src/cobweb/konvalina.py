@@ -134,9 +134,7 @@ def pascal_binomial(n: int, k: int) -> int:
 
 def _stirling(n: int, k: int, weight) -> int:
     """Row n, entry k of the triangle T(i, j) = weight(i, j) T(i-1, j) + T(i-1, j-1), T(0, 0) = 1."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 1 or k > n:
+    if k < 0 or k > n:  # row 0 is (1,); from row 1 on, column 0 stays 0
         return 0
     prev = [1] + [0] * n  # row 0
     for i in range(1, n + 1):

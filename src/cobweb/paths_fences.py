@@ -99,11 +99,7 @@ class FencePoset(Record):
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) pairs of 0-based element indices."""
-        pairs = []
-        for p in range(self.n - 1):
-            up = (p % 2 == 0) == self.up_first
-            pairs.append((p, p + 1) if up else (p + 1, p))
-        return tuple(pairs)
+        return tuple((p, p + 1) if (p % 2 == 0) == self.up_first else (p + 1, p) for p in range(self.n - 1))
 
 
 def iter_fence_ideals(n: int, up_first: bool = True) -> Iterator[frozenset[int]]:

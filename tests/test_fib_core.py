@@ -132,6 +132,18 @@ def test_recurrence_forms_equal_definition():
             assert fibonomial_rec(n, k, "B") == want
 
 
+def test_only_form_b_reads_f_minus_one(monkeypatch):
+    # the two forms agree on every input, so a swap of their coefficient offsets would pass the test above;
+    # with F_{-1} read as 0 instead of 1, form A (which never reads it) still gives def and form B does not
+    points = [(n, k) for n in range(13) for k in range(n + 1)]
+    want = {p: fibonomial_def(*p) for p in points}
+    real = fib_core.fib
+    monkeypatch.setattr(fib_core, "fib", lambda i: 0 if i == -1 else real(i))
+    assert [p for p in points if fibonomial_rec(*p, "A") != want[p]] == []
+    moved = [p for p in points if fibonomial_rec(*p, "B") != want[p]]
+    assert moved[0] == (1, 1) and len(moved) == 78
+
+
 def test_fibonomial_symmetry():
     for n in range(21):
         for k in range(n + 1):

@@ -3,7 +3,7 @@ import json
 import pickle
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +25,7 @@ from cobweb.incidence import (
     zeta_explicit,
     zeta_from_order,
 )
+from cobweb.konvalina import c_first_kind
 from cobweb.poset import CobwebTruncation, Vertex, from_linear, level_size, leq, to_linear, truncate
 
 
@@ -817,7 +818,7 @@ def test_level_arithmetic_matches_the_dense_kernels(case, da, db):
     assert TriangularMatrix._from_levels(ends, 1, level_mobius_recursion(ends, ta)) == _back_substitute(u)
     for x in range(a.size):
         for y in range(a.size):
-            for t in (1, 3):
+            for t in (1, 2, 3):
                 assert chain_count(a, x, y, t) == _vec_mat_chains(a.rows, x, y, t)
     assert texts == (generic_join(a.rows, " "), generic_join(a.rows, ","), json_dumps_text(a))
     assert texts == (a.to_dense_text(), a.to_csv(), a.to_json_text())  # the same once the rows are built
@@ -836,6 +837,37 @@ def test_trusted_level_rows_match_the_validating_constructor(case, diag):
             for i, b in enumerate(block)]
     assert [list(row) for row in m.rows] == want
     assert all(type(x) is int for row in m.rows for x in row)
+
+
+def test_library_built_level_forms_are_int_tuples_as_built():
+    # zeta_explicit, mobius, the level product and eta hand their forms over uncoerced: each must already be
+    # what the coercing constructor makes of it, tuples of int (not bool) throughout
+    for L in range(15):
+        forms = []
+        for z in zeta_explicit(fib(L + 2)), zeta_from_order(L):
+            forms += [z.level_form(), mobius(z).level_form(), (z * z).level_form(), eta(z).level_form()]
+        for form in forms:
+            ends, diag, table = form
+            assert all(type(x) is tuple for x in (form, ends, table, *table))
+            assert all(type(v) is int for v in (*ends, diag, *chain.from_iterable(table)))
+            assert TriangularMatrix._from_levels(*form).level_form() == form
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_sizes.filter(len), st.integers(1, 8), st.data())
+def test_level_chain_counts_are_first_kind_box_counts(sizes, t, data):
+    # strict chains of t steps between blocks b < c of an ordinal sum of antichains pick t - 1 distinct blocks
+    # strictly between, one vertex from each: Konvalina's first kind, e_(t-1) of their sizes
+    ends, blocks = tuple(accumulate(sizes)), len(sizes)
+    z = TriangularMatrix._from_levels(ends, 1, ((1,) * blocks,) * blocks)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    for x, y in product(range(ends[-1]), repeat=2):
+        b, c = block[x], block[y]
+        want = c_first_kind(sorted(sizes[b + 1 : c]), t - 1) if x < y and t <= c - b else 0
+        assert chain_count(z, x, y, t) == want
+    diag = data.draw(st.integers(-3, 3) | st.sampled_from([2**70, -(2**70)]))
+    m = TriangularMatrix._from_levels(ends, diag, data.draw(level_tables(blocks)))
+    assert [chain_count(m, x, x, t) for x in range(ends[-1])] == [(diag - 1) ** t] * ends[-1]
 
 
 @given(st.integers(2, 6).flatmap(upper_triangular), st.data())
